@@ -35,7 +35,7 @@ from repro.core.batch import BatchFeatureExtractor
 from repro.core.config import HEURISTIC_COLUMNS
 from repro.core.features import FeatureExtractor, feature_mask
 from repro.experiments.harness import results_dir
-from repro.graph.fast import visibility_graphs_csr
+from repro.graph.fast import visibility_graphs
 from repro.graph.visibility import (
     horizontal_visibility_graph,
     visibility_graph,
@@ -90,7 +90,7 @@ def test_fastpath_builders_and_sweep(monkeypatch):
         {
             "seed_vg_dc": lambda: visibility_graph(series),
             "seed_hvg": lambda: horizontal_visibility_graph(series),
-            "fast_combined_csr": lambda: visibility_graphs_csr(series),
+            "fast_combined_csr": lambda: visibility_graphs(series),
         }
     )
     # The naive O(n^2) seed builder is far slower; one round suffices.

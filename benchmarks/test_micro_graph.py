@@ -99,16 +99,19 @@ def test_hvg_fast_csr_2048(benchmark, series_2048):
 
 
 def test_vg_hvg_fast_combined_2048(benchmark, series_2048):
-    from repro.graph.fast import visibility_graphs_csr
+    from repro.graph.fast import visibility_graphs
 
-    vg, hvg = benchmark(visibility_graphs_csr, series_2048)
+    vg, hvg = benchmark(visibility_graphs, series_2048)
     assert vg.n_edges >= hvg.n_edges
 
 
 def test_vg_hvg_fast_to_graph_2048(benchmark, series_2048):
     from repro.graph.fast import visibility_graphs
 
-    vg, hvg = benchmark(visibility_graphs, series_2048)
+    def to_graphs(series):
+        return [graph.to_graph() for graph in visibility_graphs(series)]
+
+    vg, hvg = benchmark(to_graphs, series_2048)
     assert vg == visibility_graph_dc(series_2048)
     assert hvg == horizontal_visibility_graph(series_2048)
 

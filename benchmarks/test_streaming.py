@@ -10,7 +10,7 @@ random-walk stream, classifying every tick.  Two levels:
   the new point into a :class:`~repro.graph.incremental.SlidingGraphWindow`
   (one pivot-sweep + O(degree) bookkeeping) and re-renders only the
   touched CSR rows; *rebuild* calls the batch builder
-  :func:`~repro.graph.fast.visibility_graphs_csr` on the window — the
+  :func:`~repro.graph.fast.visibility_graphs` on the window — the
   fast path PR 1 built, so the floor is against the strongest baseline,
   not the reference builders.  On one CPU only an asymptotic saving
   like this survives (no core fan-out to hide behind).
@@ -40,7 +40,7 @@ from repro.core.config import FeatureConfig
 from repro.core.features import extract_feature_vector
 from repro.core.streaming import StreamingFeatureExtractor
 from repro.experiments.harness import results_dir
-from repro.graph.fast import visibility_graphs_csr
+from repro.graph.fast import visibility_graphs
 from repro.graph.incremental import SlidingGraphWindow
 
 pytestmark = pytest.mark.bench
@@ -96,10 +96,10 @@ def test_streaming_graph_maintenance_vs_rebuild():
     # Sanity: after all those ticks the maintained graphs still equal a
     # fresh batch build of the same window.
     lo = cursor[0] - WINDOW
-    assert sliding.csr("vg") == visibility_graphs_csr(stream[lo : cursor[0]])[0]
+    assert sliding.csr("vg") == visibility_graphs(stream[lo : cursor[0]])[0]
 
     def rebuild_tick(t: int) -> None:
-        visibility_graphs_csr(stream[t - WINDOW + 1 : t + 1])
+        visibility_graphs(stream[t - WINDOW + 1 : t + 1])
 
     rebuild = _per_tick(rebuild_tick, stream, WINDOW, TICKS, ROUNDS)
 

@@ -19,7 +19,9 @@ import numpy as np
 
 from repro.core.config import FeatureConfig
 from repro.core.multiscale import multiscale_representation
+from repro.graph import fast as fast_builders
 from repro.graph.adjacency import Graph
+from repro.graph.fast import CSRGraph
 from repro.graph.metrics import graph_statistics
 from repro.graph.motifs import MOTIF_NAMES, count_motifs
 from repro.graph.visibility import horizontal_visibility_graph, visibility_graph
@@ -61,21 +63,29 @@ def assemble_feature_dict(
 
 
 def graph_feature_dict(
-    graph: Graph, include_stats: bool = True, include_extended: bool = False
+    graph: Graph | CSRGraph,
+    include_stats: bool = True,
+    include_extended: bool = False,
+    *,
+    horizontal: bool = False,
 ) -> dict[str, float]:
     """Features of a single graph, keyed by short feature label.
 
     ``include_extended`` adds the Section-6 future-work features
     (degree entropy, bipartivity, centrality, clustering statistics).
+    ``horizontal`` declares ``graph`` an HVG, whose k-core and 4-clique
+    count are closed forms (:func:`repro.graph.metrics.hvg_degeneracy`).
     """
-    stats = graph_statistics(graph) if include_stats else None
+    stats = graph_statistics(graph, horizontal=horizontal) if include_stats else None
     if include_extended:
         from repro.graph.extended_metrics import extended_graph_statistics
 
         extended = extended_graph_statistics(graph)
     else:
         extended = None
-    return assemble_feature_dict(count_motifs(graph), stats, extended)
+    return assemble_feature_dict(
+        count_motifs(graph, horizontal=horizontal), stats, extended
+    )
 
 
 #: Reference (pure-Python) builders; the fast path must stay
@@ -85,34 +95,29 @@ _REFERENCE_BUILDERS = {
     "hvg": horizontal_visibility_graph,
 }
 
-#: Below this scale length the reference builders win on constant
-#: overhead; at or above it the array-backed fast builders take over.
-_FAST_MIN_LENGTH = 48
-
 
 def _build_scale_graphs(
     series: np.ndarray, graph_types: tuple[str, ...], fast: bool
-) -> dict[str, Graph]:
-    """Visibility graphs of one scale, keyed by graph type.
+) -> dict[str, CSRGraph]:
+    """Visibility graphs of one scale as :class:`CSRGraph`, keyed by
+    graph type (``fast=False`` converts the reference builders' graphs).
 
-    The fast path dispatches to :mod:`repro.graph.fast`; when both graph
-    types are requested it uses the combined builder, which shares the
-    Cartesian-tree pass between the VG and the HVG.
+    When both graph types are requested the combined builder shares the
+    Cartesian-tree pass between the VG and the HVG.  The builders are
+    looked up on the module at call time, so wrappers installed there
+    (``perfbench/tracing.py``) see every call.
     """
-    if not fast or series.size < _FAST_MIN_LENGTH:
-        return {kind: _REFERENCE_BUILDERS[kind](series) for kind in graph_types}
-    from repro.graph.fast import (
-        fast_horizontal_visibility_graph,
-        fast_visibility_graph,
-        visibility_graphs,
-    )
-
+    if not fast:
+        return {
+            kind: CSRGraph.from_graph(_REFERENCE_BUILDERS[kind](series))
+            for kind in graph_types
+        }
     if len(graph_types) == 2:
-        vg, hvg = visibility_graphs(series)
+        vg, hvg = fast_builders.visibility_graphs(series)
         return {"vg": vg, "hvg": hvg}
     if graph_types[0] == "vg":
-        return {"vg": fast_visibility_graph(series)}
-    return {"hvg": fast_horizontal_visibility_graph(series)}
+        return {"vg": fast_builders.fast_visibility_graph_csr(series)}
+    return {"hvg": fast_builders.fast_horizontal_visibility_graph_csr(series)}
 
 
 def extract_feature_vector(
@@ -124,7 +129,8 @@ def extract_feature_vector(
     concatenate features.  The scale set depends on ``config.scales``;
     scale 0 is the original series.  ``fast=False`` forces the reference
     graph builders (the outputs are identical either way; only the
-    builder wall-clock differs).
+    builder wall-clock differs).  No set :class:`Graph` is built unless
+    a graph exceeds the motif counter's wedge budget.
     """
     series = np.asarray(series, dtype=np.float64)
     representation = multiscale_representation(series, tau=config.tau)
@@ -150,6 +156,7 @@ def extract_feature_vector(
                 graph,
                 include_stats=config.include_stats,
                 include_extended=config.include_extended,
+                horizontal=graph_type == "hvg",
             )
             prefix = f"T{scale_index} {graph_type.upper()}"
             for label, value in features.items():

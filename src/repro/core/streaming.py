@@ -185,9 +185,9 @@ def _per_graph_width(config: FeatureConfig) -> int:
     key = (config.include_stats, config.include_extended)
     width = _WIDTH_CACHE.get(key)
     if width is None:
-        from repro.graph.fast import fast_visibility_graph
+        from repro.graph.fast import fast_visibility_graph_csr
 
-        probe = fast_visibility_graph(np.linspace(0.0, 1.0, 8))
+        probe = fast_visibility_graph_csr(np.linspace(0.0, 1.0, 8))
         width = len(
             graph_feature_dict(
                 probe,
@@ -435,10 +435,11 @@ class StreamingFeatureExtractor:
             )
             return {
                 kind: (
-                    lambda g=graphs[kind]: graph_feature_dict(
+                    lambda g=graphs[kind], kind=kind: graph_feature_dict(
                         g,
                         include_stats=self.config.include_stats,
                         include_extended=self.config.include_extended,
+                        horizontal=kind == "hvg",
                     )
                 )
                 for kind in graph_types

@@ -17,8 +17,8 @@ from repro.graph.directed import (
 from repro.graph.extended_metrics import extended_graph_statistics
 from repro.graph.fast import (
     CSRGraph,
-    fast_horizontal_visibility_graph,
-    fast_visibility_graph,
+    fast_horizontal_visibility_graph_csr,
+    fast_visibility_graph_csr,
     visibility_graphs,
     visibility_graphs_batch,
 )
@@ -29,6 +29,7 @@ from repro.graph.metrics import (
     degree_statistics,
     density,
     graph_statistics,
+    hvg_degeneracy,
 )
 from repro.graph.motifs import (
     CONNECTED_MOTIFS_3,
@@ -49,8 +50,8 @@ from repro.graph.visibility import (
 __all__ = [
     "Graph",
     "CSRGraph",
-    "fast_visibility_graph",
-    "fast_horizontal_visibility_graph",
+    "fast_visibility_graph_csr",
+    "fast_horizontal_visibility_graph_csr",
     "visibility_graphs",
     "visibility_graphs_batch",
     "SlidingVisibilityGraph",
@@ -71,6 +72,7 @@ __all__ = [
     "assortativity_coefficient",
     "degree_statistics",
     "graph_statistics",
+    "hvg_degeneracy",
     "extended_graph_statistics",
     "WeightedGraph",
     "directed_visibility_degrees",

@@ -1,10 +1,11 @@
-"""Compact undirected graph container used across the library.
+"""Adjacency-set undirected graph: the reference and interop type.
 
-Visibility graphs are small (hundreds to a few thousand vertices) and
-sparse, and the statistics we extract need fast neighbourhood iteration
-and set intersection.  Adjacency sets give both without the overhead of a
-full networkx ``Graph``; conversion helpers are provided for
-interoperability and for cross-checking in tests.
+The reference visibility builders (:mod:`repro.graph.visibility`) emit
+this type, and the tests use it as the oracle the array-backed
+:class:`~repro.graph.fast.CSRGraph` is checked against; the batch and
+streaming metrics run on ``CSRGraph`` and convert a ``Graph`` argument
+once at entry.  Conversion helpers to and from networkx are provided for
+cross-checking.
 """
 
 from __future__ import annotations
@@ -69,11 +70,7 @@ class Graph:
         return frozenset(self._adj[u])
 
     def adjacency(self, u: int) -> set[int]:
-        """Internal adjacency set of ``u``.
-
-        Exposed for performance-critical consumers (motif counting); the
-        caller must not mutate the returned set.
-        """
+        """Internal adjacency set of ``u``; the caller must not mutate it."""
         return self._adj[u]
 
     def degree(self, u: int) -> int:
@@ -152,11 +149,6 @@ class Graph:
         for u, v in g.edges():
             out.add_edge(int(u), int(v))
         return out
-
-    @classmethod
-    def from_edges(cls, n_vertices: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Alias constructor matching ``Graph(n, edges)``."""
-        return cls(n_vertices, edges)
 
     # -- dunder -----------------------------------------------------------
     def __eq__(self, other: object) -> bool:

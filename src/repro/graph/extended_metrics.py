@@ -23,6 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.adjacency import Graph
+from repro.graph.fast import CSRGraph, as_csr
+from repro.graph.motifs import triangle_counts
 
 
 def degree_entropy_from_degrees(degrees: np.ndarray) -> float:
@@ -37,7 +39,7 @@ def degree_entropy_from_degrees(degrees: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def degree_entropy(graph: Graph) -> float:
+def degree_entropy(graph: Graph | CSRGraph) -> float:
     """Shannon entropy (nats) of the degree distribution."""
     return degree_entropy_from_degrees(graph.degrees())
 
@@ -49,12 +51,12 @@ def degree_variance_from_degrees(degrees: np.ndarray) -> float:
     return float(degrees.var())
 
 
-def degree_variance(graph: Graph) -> float:
+def degree_variance(graph: Graph | CSRGraph) -> float:
     """Variance of the degree sequence (degree heterogeneity)."""
     return degree_variance_from_degrees(graph.degrees())
 
 
-def _adjacency_matrix(graph: Graph) -> np.ndarray:
+def _adjacency_matrix(graph: Graph | CSRGraph) -> np.ndarray:
     n = graph.n_vertices
     A = np.zeros((n, n))
     edges = graph.edge_array()
@@ -64,7 +66,7 @@ def _adjacency_matrix(graph: Graph) -> np.ndarray:
     return A
 
 
-def bipartivity(graph: Graph, adjacency: np.ndarray | None = None) -> float:
+def bipartivity(graph: Graph | CSRGraph, adjacency: np.ndarray | None = None) -> float:
     """Estrada–Rodríguez-Velázquez spectral bipartivity index.
 
     ``b = sum_i cosh(lambda_i) / sum_i exp(lambda_i)`` over the adjacency
@@ -92,7 +94,7 @@ def bipartivity(graph: Graph, adjacency: np.ndarray | None = None) -> float:
 
 
 def eigenvector_centrality_stats(
-    graph: Graph,
+    graph: Graph | CSRGraph,
     max_iter: int = 200,
     tol: float = 1e-10,
     adjacency: np.ndarray | None = None,
@@ -130,7 +132,7 @@ def eigenvector_centrality_stats(
 
 
 def closeness_centrality_stats(
-    graph: Graph, n_sources: int = 32, seed: int = 0
+    graph: Graph | CSRGraph, n_sources: int = 32, seed: int = 0
 ) -> tuple[float, float]:
     """``(mean, max)`` closeness centrality estimated from BFS over a
     deterministic vertex sample (exact when ``n <= n_sources``)."""
@@ -143,17 +145,19 @@ def closeness_centrality_stats(
         if n <= n_sources
         else np.sort(rng.choice(n, size=n_sources, replace=False))
     )
+    csr = as_csr(graph)
+    indptr, indices = csr.indptr.tolist(), csr.indices.tolist()
     closeness = []
-    for source in sources:
-        distances = np.full(n, -1, dtype=np.int64)
+    for source in sources.tolist():
+        distances = [-1] * n
         distances[source] = 0
-        frontier = [int(source)]
+        frontier = [source]
         total = 0
         reached = 0
         while frontier:
             nxt: list[int] = []
             for u in frontier:
-                for v in graph.adjacency(u):
+                for v in indices[indptr[u] : indptr[u + 1]]:
                     if distances[v] < 0:
                         distances[v] = distances[u] + 1
                         total += distances[v]
@@ -178,20 +182,11 @@ def transitivity_from_counts(triangle_edge_sum: int, wedges: int) -> float:
     return float(triangle_edge_sum / float(wedges))
 
 
-def transitivity(graph: Graph) -> float:
+def transitivity(graph: Graph | CSRGraph) -> float:
     """Global clustering coefficient: 3 * triangles / wedges."""
     degrees = graph.degrees()
     wedges = int(np.sum(degrees * (degrees - 1) // 2))
-    if wedges == 0:
-        return 0.0
-    triangles = 0
-    for u, v in graph.edges():
-        nu, nv = graph.adjacency(u), graph.adjacency(v)
-        if len(nu) > len(nv):
-            nu, nv = nv, nu
-        triangles += sum(1 for w in nu if w in nv)
-    # Each triangle is counted once per edge = 3x.
-    return transitivity_from_counts(triangles, wedges)
+    return transitivity_from_counts(triangle_counts(graph)[0], wedges)
 
 
 def average_clustering_from_counts(links_per_vertex, degrees) -> float:
@@ -210,44 +205,35 @@ def average_clustering_from_counts(links_per_vertex, degrees) -> float:
     return float(total / n)
 
 
-def average_clustering(graph: Graph) -> float:
+def average_clustering(graph: Graph | CSRGraph) -> float:
     """Mean of per-vertex local clustering coefficients."""
-    n = graph.n_vertices
-    if n == 0:
-        return 0.0
-    links = np.zeros(n, dtype=np.int64)
-    for u in range(n):
-        nbrs = sorted(graph.adjacency(u))
-        if len(nbrs) < 2:
-            continue
-        count = 0
-        for i, a in enumerate(nbrs):
-            adj_a = graph.adjacency(a)
-            for b in nbrs[i + 1 :]:
-                if b in adj_a:
-                    count += 1
-        links[u] = count
-    return average_clustering_from_counts(links, graph.degrees())
+    return average_clustering_from_counts(triangle_counts(graph)[1], graph.degrees())
 
 
-def extended_graph_statistics(graph: Graph) -> dict[str, float]:
+def extended_graph_statistics(graph: Graph | CSRGraph) -> dict[str, float]:
     """All future-work features, keyed by display label.
 
-    The dense adjacency matrix both spectral metrics need is built once
+    The dense adjacency matrix both spectral metrics need, and the
+    triangle counts both clustering metrics need, are computed once
     here and shared, instead of per metric.
     """
+    graph = as_csr(graph)
+    degrees = graph.degrees()
+    triangle_edge_sum, vertex_triangles = triangle_counts(graph)
     adjacency = _adjacency_matrix(graph) if graph.n_edges else None
     ev_max, ev_mean, ev_std = eigenvector_centrality_stats(graph, adjacency=adjacency)
     close_mean, close_max = closeness_centrality_stats(graph)
     return {
-        "DegEntropy": degree_entropy(graph),
-        "DegVariance": degree_variance(graph),
+        "DegEntropy": degree_entropy_from_degrees(degrees),
+        "DegVariance": degree_variance_from_degrees(degrees),
         "Bipartivity": bipartivity(graph, adjacency=adjacency),
         "EigCentMax": ev_max,
         "EigCentMean": ev_mean,
         "EigCentStd": ev_std,
         "CloseMean": close_mean,
         "CloseMax": close_max,
-        "Transitivity": transitivity(graph),
-        "AvgClustering": average_clustering(graph),
+        "Transitivity": transitivity_from_counts(
+            triangle_edge_sum, int(np.sum(degrees * (degrees - 1) // 2))
+        ),
+        "AvgClustering": average_clustering_from_counts(vertex_triangles, degrees),
     }

@@ -1,12 +1,13 @@
-"""Fast-path visibility-graph construction on array-backed graphs.
+"""Visibility-graph construction on array-backed graphs.
 
 The reference builders in :mod:`repro.graph.visibility` are pure Python
-and pay per-edge ``set`` bookkeeping through :class:`Graph.add_edge`.
-This module is the hot-path replacement used by the feature pipeline:
+and pay per-edge ``set`` bookkeeping through :class:`Graph.add_edge`;
+they survive as test oracles.  This module holds the graph type and the
+builders the feature pipeline runs on:
 
 * :class:`CSRGraph` — an immutable CSR-style (``indptr``/``indices``)
   graph representation assembled from edge arrays with vectorized NumPy
-  (no per-edge Python work);
+  (no per-edge Python work); every batch metric runs on it;
 * :func:`hvg_edge_array` — the O(n) HVG stack algorithm run over plain
   arrays, collecting edges into flat buffers instead of adjacency sets;
 * :func:`vg_edge_array` — natural-VG divide and conquer driven by a
@@ -14,11 +15,9 @@ This module is the hot-path replacement used by the feature pipeline:
   ``argmax``), with the per-pivot max-slope sweeps vectorized through
   ``np.maximum.accumulate`` once an interval is large enough to amortise
   the NumPy call overhead;
-* :func:`fast_visibility_graph` / :func:`fast_horizontal_visibility_graph`
-  — drop-in builders returning :class:`Graph` objects *identical* to the
-  reference builders (property-tested in
-  ``tests/test_fast_graph_property.py``), assembled in bulk from the CSR
-  arrays rather than edge by edge;
+* :func:`fast_visibility_graph_csr` / :func:`fast_horizontal_visibility_graph_csr`
+  — single-graph builders, graph-identical to the reference builders
+  (property-tested in ``tests/test_fast_graph_property.py``);
 * :func:`visibility_graphs` — the combined per-series builder producing
   the VG and HVG of one series from a single shared Cartesian-tree pass
   (the HVG edges *are* the tree-construction pops/links);
@@ -140,6 +139,18 @@ class CSRGraph:
         """Sorted neighbour array of ``u`` (a view; do not mutate)."""
         return self.indices[self.indptr[u] : self.indptr[u + 1]]
 
+    def concatenated_rows(self, vs: np.ndarray) -> np.ndarray:
+        """Neighbour rows of the vertices ``vs``, concatenated in order
+        (vectorized gather)."""
+        starts = self.indptr[vs]
+        lens = self.indptr[vs + 1] - starts
+        total = int(lens.sum())
+        if total == 0:
+            return np.empty(0, dtype=np.int64)
+        shift = np.cumsum(lens) - lens
+        offsets = np.arange(total, dtype=np.int64) - np.repeat(shift, lens)
+        return self.indices[np.repeat(starts, lens) + offsets]
+
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the undirected edge ``(u, v)`` exists (binary search)."""
         row = self.neighbors(u)
@@ -149,11 +160,9 @@ class CSRGraph:
     def adjacency(self, u: int) -> np.ndarray:
         """Neighbours of ``u`` — :class:`Graph`-compatible spelling.
 
-        Returns the sorted CSR row (a view) instead of a set.  Interop
-        accessor: membership tests on the row are O(degree) scans, so
-        code doing heavy neighbourhood intersection (the motif
-        counters) should convert via :meth:`to_graph` first — the set
-        materialisation is trivial next to those loops.
+        Returns the sorted CSR row (a view) instead of a set, so
+        membership tests on it are O(degree) scans.  The batch metrics
+        never call it: they work on ``indptr``/``indices`` directly.
         """
         return self.neighbors(u)
 
@@ -169,7 +178,8 @@ class CSRGraph:
 
     # -- interop ----------------------------------------------------------
     def to_graph(self) -> Graph:
-        """Convert to an adjacency-set :class:`Graph` in bulk.
+        """Convert to an adjacency-set :class:`Graph` in bulk (for
+        cross-checking against the reference oracles).
 
         Builds each adjacency set straight from the CSR row (Python ints,
         matching what :meth:`Graph.add_edge` would have stored) without
@@ -205,6 +215,12 @@ class CSRGraph:
 
     def __repr__(self) -> str:
         return f"CSRGraph(n_vertices={self.n_vertices}, n_edges={self.n_edges})"
+
+
+def as_csr(graph: Graph | CSRGraph) -> CSRGraph:
+    """``graph`` as a :class:`CSRGraph`; a set :class:`Graph` is
+    converted once, so metric entry points accept either type."""
+    return graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
 
 
 def _cartesian_max_tree(
@@ -271,10 +287,15 @@ def hvg_edge_array(series: Sequence[float]) -> np.ndarray:
     """
     values = _as_float_array(series)
     _, _, _, hvg_u, hvg_v = _cartesian_max_tree(values.tolist())
-    if not hvg_u:
+    return _edge_array(hvg_u, hvg_v)
+
+
+def _edge_array(us: list[int], vs: list[int]) -> np.ndarray:
+    """``(m, 2)`` int64 edge array from parallel endpoint lists."""
+    if not us:
         return _EMPTY_EDGES
     return np.column_stack(
-        [np.asarray(hvg_u, dtype=np.int64), np.asarray(hvg_v, dtype=np.int64)]
+        [np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)]
     )
 
 
@@ -365,11 +386,7 @@ def _vg_edges_from_tree(
         vs = np.concatenate(pivot_js)
         parts.append(np.column_stack([us, vs]))
     if small_u:
-        parts.append(
-            np.column_stack(
-                [np.asarray(small_u, dtype=np.int64), np.asarray(small_v, dtype=np.int64)]
-            )
-        )
+        parts.append(_edge_array(small_u, small_v))
     if not parts:
         return _EMPTY_EDGES
     return np.concatenate(parts) if len(parts) > 1 else parts[0]
@@ -431,19 +448,7 @@ def fast_visibility_graph_csr(series: Sequence[float]) -> CSRGraph:
     return CSRGraph.from_edge_array(values.size, vg_edge_array(values))
 
 
-def fast_horizontal_visibility_graph(series: Sequence[float]) -> Graph:
-    """Drop-in HVG builder; identical output to
-    :func:`repro.graph.visibility.horizontal_visibility_graph`."""
-    return fast_horizontal_visibility_graph_csr(series).to_graph()
-
-
-def fast_visibility_graph(series: Sequence[float]) -> Graph:
-    """Drop-in natural-VG builder; identical output to
-    :func:`repro.graph.visibility.visibility_graph`."""
-    return fast_visibility_graph_csr(series).to_graph()
-
-
-def visibility_graphs_csr(series: Sequence[float]) -> tuple[CSRGraph, CSRGraph]:
+def visibility_graphs(series: Sequence[float]) -> tuple[CSRGraph, CSRGraph]:
     """``(VG, HVG)`` of one series from a single Cartesian-tree pass.
 
     The stack pass that builds the VG's pivot tree emits the HVG edges as
@@ -452,29 +457,17 @@ def visibility_graphs_csr(series: Sequence[float]) -> tuple[CSRGraph, CSRGraph]:
     """
     values = _as_float_array(series)
     n = values.size
-    if n < 2:
-        empty = CSRGraph.from_edge_array(n, _EMPTY_EDGES)
-        return empty, empty
     values_list = values.tolist()
     left, right, root, hvg_u, hvg_v = _cartesian_max_tree(values_list)
-    vg_edges = _vg_edges_from_tree(values, values_list, left, right, root)
-    hvg_edges = (
-        np.column_stack(
-            [np.asarray(hvg_u, dtype=np.int64), np.asarray(hvg_v, dtype=np.int64)]
-        )
-        if hvg_u
+    vg_edges = (
+        _vg_edges_from_tree(values, values_list, left, right, root)
+        if n >= 2
         else _EMPTY_EDGES
     )
     return (
         CSRGraph.from_edge_array(n, vg_edges),
-        CSRGraph.from_edge_array(n, hvg_edges),
+        CSRGraph.from_edge_array(n, _edge_array(hvg_u, hvg_v)),
     )
-
-
-def visibility_graphs(series: Sequence[float]) -> tuple[Graph, Graph]:
-    """``(VG, HVG)`` of one series as :class:`Graph` objects (shared pass)."""
-    vg, hvg = visibility_graphs_csr(series)
-    return vg.to_graph(), hvg.to_graph()
 
 
 def visibility_graphs_batch(

@@ -30,7 +30,9 @@ Cost model per tick (one evict + one push): every accumulator update is
 local to the changed vertex's neighbourhood — O(degree) set/dict work
 for the degree moments and triangle/codegree tables, O(degree^2) for the
 4-clique increments — versus the batch layer's full O(n + m·d) sweep.
-Degeneracy is the one metric without a cheap local delta; it moves by at
+Degeneracy is the one metric without a cheap local delta.  On an HVG it
+is a closed form in the vertex/edge counts
+(:func:`~repro.graph.metrics.hvg_degeneracy`); on a VG it moves by at
 most one per vertex event (removing a vertex lowers no core number by
 more than one, and the reverse bounds insertion), so
 :class:`KCoreState` tracks a drift radius and re-certifies with a
@@ -61,8 +63,10 @@ from repro.graph.extended_metrics import (
 from repro.graph.fast import CSRGraph
 from repro.graph.metrics import (
     assortativity_from_sums,
+    degeneracy,
     degree_statistics_from_degrees,
     density_from_counts,
+    hvg_degeneracy,
 )
 from repro.graph.motifs import MotifCounts, MotifPrimitives, motifs_from_primitives
 
@@ -485,93 +489,90 @@ class MotifState:
         )
 
 
-#: Beyond this many unaccounted vertex events the bounded k-core repair
-#: range is wide enough that a full-range binary search is no slower.
-_KCORE_FULL_REPAIR_DRIFT = 32
-
-
-def _csr_rows_of(indptr: np.ndarray, indices: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Concatenated CSR rows of ``vs`` (vectorized gather)."""
-    starts = indptr[vs]
-    lens = indptr[vs + 1] - starts
-    total = int(lens.sum())
-    if total == 0:
-        return _EMPTY
-    shift = np.cumsum(lens) - lens
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(shift, lens)
-    return indices[np.repeat(starts, lens) + offsets]
-
-
-def _has_kcore(csr: CSRGraph, degrees: np.ndarray, k: int) -> bool:
-    """Whether a non-empty ``k``-core survives iterative peeling."""
-    if k <= 0:
-        return csr.n_vertices > 0
+def _kcore(csr: CSRGraph, degrees: np.ndarray, k: int) -> np.ndarray | None:
+    """Vertex mask of the non-empty ``k``-core (iterative vectorized
+    peeling), or ``None`` when none survives."""
     deg = degrees.astype(np.int64, copy=True)
     alive = np.ones(deg.size, dtype=bool)
     kill = deg < k
     while kill.any():
         alive &= ~kill
         if not alive.any():
-            return False
-        nbrs = _csr_rows_of(csr.indptr, csr.indices, np.nonzero(kill)[0])
+            return None
+        nbrs = csr.concatenated_rows(np.nonzero(kill)[0])
         if nbrs.size:
             deg -= np.bincount(nbrs, minlength=deg.size)
         kill = alive & (deg < k)
-    return True
+    return alive if alive.any() else None
 
 
 class KCoreState:
-    """Degeneracy by bounded lazy repair.
+    """Exact degeneracy kept by two certificates, peeling only when one
+    fails.  A push only adds edges (at the new vertex) and an eviction
+    only removes the oldest vertex, so with ``k`` the last exact value:
 
-    A single vertex insertion or deletion moves the degeneracy by at
-    most one (removing a vertex cannot drop any subgraph's minimum
-    degree by more than one, and insertion is its inverse), so after
-    ``drift`` unaccounted events the true value lies in ``[last - drift,
-    last + drift]``.  ``value()`` re-certifies with a binary search of
-    vectorized k-core peels over that interval on the incrementally
-    maintained CSR, falling back to the full ``[0, max_degree]`` range
-    on large drift or after a clear — the full-recompute fallback.
-    The result is the exact degeneracy, identical to the batch
+    * the ``k``-core the last peel found keeps minimum degree ``>= k``
+      until the eviction front reaches its oldest vertex; only then is
+      ``k`` re-certified by a peel, lowering it while no core survives;
+    * a new ``(k + 1)``-core must contain a vertex pushed since, and the
+      last such push created all that vertex's core edges, so ``k + 1``
+      is peel-tested only after a push created ``>= k + 1`` edges.
+
+    A tick needing no peel does not even render the CSR.  The first
+    value (and the first after a clear) is the batch
     :func:`~repro.graph.metrics.degeneracy`.
     """
 
-    __slots__ = ("_csr_provider", "_last", "_drift")
+    __slots__ = ("_csr_provider", "_k", "_first", "_evicted", "_grown")
 
     def __init__(self, csr_provider: Callable[[], CSRGraph]) -> None:
         self._csr_provider = csr_provider
-        self._last: int | None = None
-        self._drift = 0
+        self._reset()
+
+    def _reset(self) -> None:
+        self._k: int | None = None
+        #: Window position of the witness core's oldest vertex when it
+        #: was found, and the evictions since.
+        self._first = 0
+        self._evicted = 0
+        #: Most edges one push created since the last value.
+        self._grown = 0
 
     def apply(self, delta: GraphDelta) -> None:
-        if delta.op == "clear":
-            self._last = None
-            self._drift = 0
+        if delta.op == "add":
+            self._grown = max(self._grown, delta.neighbors.size)
+        elif delta.op == "remove":
+            self._evicted += 1
         else:
-            self._drift += 1
+            self._reset()
 
     def value(self) -> int:
+        grown, self._grown = self._grown, 0
+        k = self._k
+        broken = k is not None and k > 0 and self._evicted > self._first
+        if k is not None and not broken and grown <= k:
+            return k
         csr = self._csr_provider()
-        n = csr.n_vertices
-        if n == 0:
-            self._last, self._drift = 0, 0
-            return 0
         degrees = csr.degrees()
-        max_degree = int(degrees.max())
-        if self._last is None or self._drift > _KCORE_FULL_REPAIR_DRIFT:
-            lo, hi = 0, max_degree
+        core = None
+        if k is None:
+            k = degeneracy(csr)
+            core = _kcore(csr, degrees, k) if k else None
         else:
-            lo = max(0, self._last - self._drift)
-            hi = min(max_degree, self._last + self._drift)
-        # Invariant: a lo-core exists (lo == 0, or lo is within drift
-        # below the last certified degeneracy); search the largest k.
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if _has_kcore(csr, degrees, mid):
-                lo = mid
-            else:
-                hi = mid - 1
-        self._last, self._drift = lo, 0
-        return lo
+            if broken:
+                core = _kcore(csr, degrees, k)
+                while core is None and k > 0:
+                    k -= 1
+                    core = _kcore(csr, degrees, k) if k else None
+            while grown > k:
+                mask = _kcore(csr, degrees, k + 1)
+                if mask is None:
+                    break
+                k, core = k + 1, mask
+        if core is not None:
+            self._first, self._evicted = int(np.argmax(core)), 0
+        self._k = k
+        return k
 
 
 class IncrementalMetricBank:
@@ -611,12 +612,14 @@ class IncrementalMetricBank:
             self._states.append(self.motif_state)
         if need_stats:
             self._assort = AssortativityState()
-            self._kcore = KCoreState(svg.csr)
             self._density = DensityState()
             self._degstats = DegreeStatisticsState(svg.degree_array)
-            self._states.extend(
-                [self._assort, self._kcore, self._density, self._degstats]
-            )
+            self._states.extend([self._assort, self._density, self._degstats])
+            # An HVG's degeneracy is a closed form in the density state's
+            # (n, m); only the VG needs a k-core state.
+            if svg.kind != "hvg":
+                self._kcore = KCoreState(svg.csr)
+                self._states.append(self._kcore)
         svg.subscribe(self.apply)
 
     def apply(self, delta: GraphDelta) -> None:
@@ -633,9 +636,15 @@ class IncrementalMetricBank:
     def statistics(self) -> dict[str, float]:
         """Drop-in for ``graph_statistics(window_graph)``."""
         d_max, d_min, d_mean = self._degstats.value()
+        density = self._density
+        kcore = (
+            hvg_degeneracy(density._n, density._m)
+            if self._kcore is None
+            else self._kcore.value()
+        )
         return {
-            "density": self._density.value(),
-            "kcore": float(self._kcore.value()),
+            "density": density.value(),
+            "kcore": float(kcore),
             "assortativity": self._assort.value(),
             "degree_max": d_max,
             "degree_min": d_min,
@@ -658,7 +667,7 @@ class IncrementalMetricBank:
         svg = self._svg
         motif = self.motif_state
         degrees = svg.degree_array()
-        graph = svg.graph()
+        graph = svg.csr()
         adjacency = _adjacency_matrix(graph) if graph.n_edges else None
         ev_max, ev_mean, ev_std = eigenvector_centrality_stats(
             graph, adjacency=adjacency

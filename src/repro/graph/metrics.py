@@ -8,6 +8,9 @@ Everything here is intentionally O(|V|) or O(|E|):
 * degree assortativity — Pearson correlation of degrees across edges,
   Equation 4 (Newman's formulation);
 * degree statistics — max / min / mean degree.
+
+All run on :class:`~repro.graph.fast.CSRGraph` arrays (a set ``Graph`` is
+converted once at entry); HVGs skip the peel (:func:`hvg_degeneracy`).
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.adjacency import Graph
+from repro.graph.fast import CSRGraph, as_csr
 
 
 def density_from_counts(n: int, m: int) -> float:
@@ -25,57 +29,70 @@ def density_from_counts(n: int, m: int) -> float:
     return 2.0 * m / (n * (n - 1))
 
 
-def density(graph: Graph) -> float:
+def density(graph: Graph | CSRGraph) -> float:
     """Edge density ``2|E| / (|V| (|V|-1))``; 0 for graphs with < 2 vertices."""
     return density_from_counts(graph.n_vertices, graph.n_edges)
 
 
-def degeneracy(graph: Graph) -> int:
+def degeneracy(graph: Graph | CSRGraph) -> int:
     """Largest K for which ``graph`` has a non-empty K-core.
 
-    Uses the O(|E|) bucket-queue peeling algorithm of Batagelj and
-    Zaversnik: repeatedly remove a minimum-degree vertex; the answer is
-    the largest degree seen at removal time.
+    O(|V| + |E|) bucket-queue peel over the CSR rows in plain Python
+    lists: repeatedly remove a minimum-degree vertex; the answer is the
+    largest degree seen at removal time.  A vertex is re-queued in its
+    new bucket when its degree drops, and stale entries are skipped.
     """
-    n = graph.n_vertices
+    csr = as_csr(graph)
+    n = csr.n_vertices
     if n == 0:
         return 0
-    degrees = graph.degrees().copy()
-    max_degree = int(degrees.max())
-    # Bucket sort vertices by degree.
-    bins = [0] * (max_degree + 1)
-    for d in degrees:
-        bins[int(d)] += 1
-    start = 0
-    for d in range(max_degree + 1):
-        bins[d], start = start, start + bins[d]
-    position = np.zeros(n, dtype=np.int64)
-    order = np.zeros(n, dtype=np.int64)
-    for v in range(n):
-        position[v] = bins[int(degrees[v])]
-        order[position[v]] = v
-        bins[int(degrees[v])] += 1
-    for d in range(max_degree, 0, -1):
-        bins[d] = bins[d - 1]
-    bins[0] = 0
+    indptr, indices = csr.indptr.tolist(), csr.indices.tolist()
+    degree = csr.degrees().tolist()
+    buckets: list[list[int]] = [[] for _ in range(max(degree) + 1)]
+    for v, d in enumerate(degree):
+        buckets[d].append(v)
+    removed = [False] * n
+    best = d = 0
+    for _ in range(n):
+        while True:
+            while not buckets[d]:
+                d += 1
+            v = buckets[d].pop()
+            if degree[v] == d and not removed[v]:
+                break
+        removed[v] = True
+        best = max(best, d)
+        for u in indices[indptr[v] : indptr[v + 1]]:
+            if not removed[u]:
+                degree[u] -= 1
+                buckets[degree[u]].append(u)
+        # Removing v lowers each neighbour's degree by one at most.
+        d = max(d - 1, 0)
+    return best
 
-    core = degrees.copy()
-    for i in range(n):
-        v = order[i]
-        for u in graph.adjacency(int(v)):
-            if core[u] > core[v]:
-                # Move u one bucket down (swap with the first vertex of
-                # its current bucket) and decrement its degree.
-                du = int(core[u])
-                pu = int(position[u])
-                pw = bins[du]
-                w = order[pw]
-                if u != w:
-                    position[u], position[w] = pw, pu
-                    order[pu], order[pw] = w, u
-                bins[du] += 1
-                core[u] -= 1
-    return int(core.max())
+
+def hvg_degeneracy(n: int, m: int) -> int:
+    """Degeneracy of a horizontal visibility graph with ``n`` vertices
+    and ``m`` edges: ``0`` if ``m == 0``, ``1`` if ``m == n - 1``, else
+    ``2``.  The same argument shows an HVG has no 4-clique (``m41 == 0``).
+
+    Proof.  Consecutive points always see each other, so the HVG
+    contains the path ``0-1-...-(n-1)`` and is connected.  Draw the
+    vertices on a line in time order and every edge as an arc above it.
+    Two arcs ``(a, c)`` and ``(b, d)`` with ``a < b < c < d`` would need
+    ``x_b < min(x_a, x_c) <= x_c`` (``b`` lies under ``(a, c)``) and
+    ``x_c < min(x_b, x_d) <= x_b`` (``c`` lies under ``(b, d)``) at once,
+    so no two arcs cross and every vertex lies on the outer face: an HVG
+    is outerplanar.  Every subgraph of an outerplanar graph is
+    outerplanar and has a vertex of degree at most 2, so the degeneracy
+    is at most 2, and ``K4`` is not outerplanar.  A connected graph with
+    no edges has at most one vertex (degeneracy 0); with ``n - 1`` edges
+    it is a tree (degeneracy 1); with more it contains a cycle, whose
+    2-core is non-empty (degeneracy 2).
+    """
+    if m == 0:
+        return 0
+    return 1 if m == n - 1 else 2
 
 
 def assortativity_from_sums(m: int, d2: int, d3: int, e_prod: int) -> float:
@@ -107,25 +124,7 @@ def assortativity_from_sums(m: int, d2: int, d3: int, e_prod: int) -> float:
     return float(num) / float(den)
 
 
-def degree_moment_sums(graph: Graph) -> tuple[int, int, int]:
-    """``(d2, d3, e_prod)``: the exact integer sums
-    :func:`assortativity_from_sums` consumes, by direct reduction.
-
-    ``d3`` is accumulated over the degree histogram in Python integers
-    (no ``int64`` overflow for any feasible graph size)."""
-    degrees = graph.degrees()
-    d2 = int(np.dot(degrees, degrees))
-    values, counts = np.unique(degrees, return_counts=True)
-    d3 = sum(int(c) * int(v) ** 3 for v, c in zip(values.tolist(), counts.tolist()))
-    edges = graph.edge_array()
-    if edges.size:
-        e_prod = int(np.dot(degrees[edges[:, 0]], degrees[edges[:, 1]]))
-    else:
-        e_prod = 0
-    return d2, d3, e_prod
-
-
-def assortativity_coefficient(graph: Graph) -> float:
+def assortativity_coefficient(graph: Graph | CSRGraph) -> float:
     """Degree assortativity (Pearson correlation over edge endpoints).
 
     Follows Newman (2003): with ``x_e``/``y_e`` the degrees at either end
@@ -137,12 +136,19 @@ def assortativity_coefficient(graph: Graph) -> float:
     Reduced through :func:`assortativity_from_sums` on exact integer
     moment sums, so the result is independent of edge iteration order
     and equal, bit for bit, to the streaming tier's delta-maintained
-    accumulators.
+    accumulators.  ``d3`` is accumulated over the degree histogram in
+    Python integers (no ``int64`` overflow for any feasible graph size);
+    ``e_prod`` sums ``deg_u * deg_v`` over both orientations of every CSR
+    entry, then halves.
     """
-    m = graph.n_edges
-    if m == 0:
+    csr = as_csr(graph)
+    if csr.n_edges == 0:
         return 0.0
-    return assortativity_from_sums(m, *degree_moment_sums(graph))
+    degrees = csr.degrees()
+    d2 = int(np.dot(degrees, degrees))
+    d3 = sum(c * d**3 for d, c in enumerate(np.bincount(degrees).tolist()) if c)
+    e_prod = int(np.dot(np.repeat(degrees, degrees), degrees[csr.indices])) // 2
+    return assortativity_from_sums(csr.n_edges, d2, d3, e_prod)
 
 
 def degree_statistics_from_degrees(degrees: np.ndarray) -> tuple[float, float, float]:
@@ -154,18 +160,26 @@ def degree_statistics_from_degrees(degrees: np.ndarray) -> tuple[float, float, f
     return (float(degrees.max()), float(degrees.min()), float(degrees.mean()))
 
 
-def degree_statistics(graph: Graph) -> tuple[float, float, float]:
+def degree_statistics(graph: Graph | CSRGraph) -> tuple[float, float, float]:
     """``(max, min, mean)`` vertex degree; zeros for the empty graph."""
     return degree_statistics_from_degrees(graph.degrees())
 
 
-def graph_statistics(graph: Graph) -> dict[str, float]:
-    """All non-motif statistical features used by the paper, by name."""
-    d_max, d_min, d_mean = degree_statistics(graph)
+def graph_statistics(
+    graph: Graph | CSRGraph, *, horizontal: bool = False
+) -> dict[str, float]:
+    """All non-motif statistical features used by the paper, by name.
+
+    ``horizontal`` declares ``graph`` a horizontal visibility graph, whose
+    k-core comes from :func:`hvg_degeneracy` instead of a peel.
+    """
+    csr = as_csr(graph)
+    n, m = csr.n_vertices, csr.n_edges
+    d_max, d_min, d_mean = degree_statistics_from_degrees(csr.degrees())
     return {
-        "density": density(graph),
-        "kcore": float(degeneracy(graph)),
-        "assortativity": assortativity_coefficient(graph),
+        "density": density_from_counts(n, m),
+        "kcore": float(hvg_degeneracy(n, m) if horizontal else degeneracy(csr)),
+        "assortativity": assortativity_coefficient(csr),
         "degree_max": d_max,
         "degree_min": d_min,
         "degree_mean": d_mean,

@@ -7,6 +7,8 @@ are computed once, 4-cliques are counted by direct enumeration over
 triangle pairs, and every remaining induced count — connected and
 disconnected — follows from closed-form combinatorial identities.  The
 identities are validated against brute-force enumeration in the tests.
+Counting runs on :class:`~repro.graph.fast.CSRGraph` arrays; a set
+:class:`~repro.graph.adjacency.Graph` argument is converted once at entry.
 
 Motif identifiers follow Table 1 of the paper:
 
@@ -31,6 +33,7 @@ from math import comb
 import numpy as np
 
 from repro.graph.adjacency import Graph
+from repro.graph.fast import CSRGraph, as_csr
 
 CONNECTED_MOTIFS_2 = ("m21",)
 DISCONNECTED_MOTIFS_2 = ("m22",)
@@ -235,107 +238,75 @@ def motifs_from_primitives(p: MotifPrimitives) -> MotifCounts:
 
 #: Above this many wedges (neighbour pairs) the vectorized counting path
 #: would allocate large intermediate arrays (several int64 arrays of this
-#: length); fall back to the original per-edge loops, which are slower
-#: but O(1) extra memory per step.
+#: length); fall back to per-edge loops over a set :class:`Graph`, which
+#: are slower but O(1) extra memory per step.
 _MAX_VECTOR_WEDGES = 2_000_000
 
 
-def _wedge_pair_counts(
-    graph: Graph,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int] | None:
-    """Vectorized edge-centric substrate for triangle / 4-cycle counting.
+def _pairs_in_runs(run_end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every index pair ``(i, j)``, ``i < j``, of positions in the same
+    run, where ``run_end[p]`` is one past the last position of ``p``'s
+    run (runs are contiguous)."""
+    remaining = run_end - np.arange(run_end.size) - 1
+    first = np.repeat(np.arange(run_end.size), remaining)
+    offsets = np.arange(first.size) - np.repeat(
+        np.cumsum(remaining) - remaining, remaining
+    )
+    return first, first + offsets + 1
+
+
+def _is_edge(directed_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Membership of ``keys`` (``u * n + v``) in the sorted, non-empty
+    CSR keys."""
+    positions = np.minimum(np.searchsorted(directed_keys, keys), directed_keys.size - 1)
+    return directed_keys[positions] == keys
+
+
+def _triangle_substrate(csr: CSRGraph) -> tuple[np.ndarray, np.ndarray, int]:
+    """Edge-centric substrate for triangle / 4-cycle counting.
 
     Enumerates every *wedge* (unordered neighbour pair of some vertex)
-    with NumPy — the same work the reference per-edge loops do in Python
-    — and aggregates them into codegrees: for each vertex pair ``(a, b)``
-    the number of common neighbours.  Returns ``(edges, tri, codegree,
-    paired)`` where ``edges`` is the ``(m, 2)`` edge array, ``tri`` its
-    per-edge triangle counts, ``codegree`` the count array over distinct
-    pairs, and ``paired`` the number of distinct 2-path pairs (the
-    non-induced 4-cycle numerator).  Returns ``None`` when the wedge
-    count is large enough that the intermediate arrays would dominate
-    memory (the callers then use the original loops).
+    straight from the sorted CSR rows and aggregates them into
+    codegrees: for each vertex pair ``(a, b)`` the number of common
+    neighbours.  Returns ``(edges, tri, paired)``: the ``(m, 2)`` edge
+    array, its per-edge triangle counts (an edge's codegree) and the
+    number of distinct 2-path pairs (twice the non-induced 4-cycles).
+    When the wedge count is large enough that the intermediate arrays
+    would dominate memory, the loop substitute computes the same values.
     """
-    n = graph.n_vertices
-    edges = graph.edge_array()
-    m = edges.shape[0]
-    if m == 0:
-        return edges, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 0
-    degrees = graph.degrees()
+    n = csr.n_vertices
+    degrees = csr.degrees()
     n_wedges = int(np.sum(degrees * (degrees - 1) // 2))
     if n_wedges > _MAX_VECTOR_WEDGES:
-        return None
-    # Directed edge list grouped by source, neighbours ascending.
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    order = np.lexsort((dst, src))
-    dst = dst[order]
-    src = src[order]
-    # Within each source group every position pairs with the positions
-    # after it: position p (with r_p successors in its group) contributes
-    # pairs (dst[p], dst[p + 1 .. p + r_p]), already in ascending order.
-    group_end = np.cumsum(np.bincount(src, minlength=n))[src]
-    remaining = group_end - np.arange(2 * m) - 1
-    if n_wedges:
-        first = np.repeat(np.arange(2 * m), remaining)
-        offsets = np.arange(n_wedges) - np.repeat(
-            np.cumsum(remaining) - remaining, remaining
-        )
-        second = first + offsets + 1
-        a = dst[first]
-        b = dst[second]
-        keys = a * np.int64(n) + b
-        unique_keys, codegree = np.unique(keys, return_counts=True)
-    else:
-        unique_keys = np.zeros(0, dtype=np.int64)
-        codegree = np.zeros(0, dtype=np.int64)
+        return _loop_pair_counts(csr.to_graph())
+    src = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    dst = csr.indices
+    upper = src < dst
+    edges = np.column_stack([src[upper], dst[upper]])
+    if n_wedges == 0:
+        return edges, np.zeros(edges.shape[0], dtype=np.int64), 0
+    # Within each row every position pairs with the positions after it,
+    # giving (a, b) with a < b.
+    first, second = _pairs_in_runs(csr.indptr[1:][src])
+    keys = dst[first] * np.int64(n) + dst[second]
+    unique_keys, codegree = np.unique(keys, return_counts=True)
     paired = int(np.sum(codegree * (codegree - 1) // 2))
-    if unique_keys.size:
-        edge_keys = edges[:, 0] * np.int64(n) + edges[:, 1]
-        positions = np.searchsorted(unique_keys, edge_keys)
-        positions = np.minimum(positions, unique_keys.size - 1)
-        tri = np.where(
-            unique_keys[positions] == edge_keys, codegree[positions], 0
-        ).astype(np.int64)
-    else:
-        tri = np.zeros(m, dtype=np.int64)
-    return edges, tri, codegree, paired
+    edge_keys = edges[:, 0] * np.int64(n) + edges[:, 1]
+    positions = np.minimum(
+        np.searchsorted(unique_keys, edge_keys), unique_keys.size - 1
+    )
+    tri = np.where(unique_keys[positions] == edge_keys, codegree[positions], 0)
+    return edges, tri.astype(np.int64), paired
 
 
-def _edge_triangle_counts(graph: Graph) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Per-edge common-neighbour (triangle) counts, plus the edge list."""
-    edges = list(graph.edges())
-    tri = np.zeros(len(edges), dtype=np.int64)
-    for idx, (u, v) in enumerate(edges):
-        nu, nv = graph.adjacency(u), graph.adjacency(v)
-        if len(nu) > len(nv):
-            nu, nv = nv, nu
-        tri[idx] = sum(1 for w in nu if w in nv)
-    return tri, edges
-
-
-def _count_four_cliques(graph: Graph, edges: list[tuple[int, int]]) -> int:
-    """Enumerate 4-cliques: for every edge, count adjacent pairs among its
-    common neighbours.  Each clique is found once per edge (six times)."""
-    total = 0
-    for u, v in edges:
-        nu, nv = graph.adjacency(u), graph.adjacency(v)
-        if len(nu) > len(nv):
-            nu, nv = nv, nu
-        common = [w for w in nu if w in nv]
-        for i, w in enumerate(common):
-            nbrs_w = graph.adjacency(w)
-            for x in common[i + 1 :]:
-                if x in nbrs_w:
-                    total += 1
-    assert total % 6 == 0, "each 4-clique must be counted exactly six times"
-    return total // 6
-
-
-def _count_noninduced_four_cycles(graph: Graph) -> int:
-    """Non-induced 4-cycles via codegrees: a cycle is a pair of distinct
-    length-2 paths between the same endpoints; each cycle has two diagonal
-    endpoint pairs."""
+def _loop_pair_counts(graph: Graph) -> tuple[np.ndarray, np.ndarray, int]:
+    """The over-budget substitute for :func:`_triangle_substrate`: the
+    same substrate by per-edge loops over adjacency sets."""
+    edges = graph.edge_array()
+    tri = np.zeros(edges.shape[0], dtype=np.int64)
+    for idx, (u, v) in enumerate(edges.tolist()):
+        tri[idx] = len(graph.adjacency(u) & graph.adjacency(v))
+    # A 4-cycle is a pair of distinct 2-paths between the same endpoints.
     codegree: dict[tuple[int, int], int] = {}
     for u in range(graph.n_vertices):
         nbrs = sorted(graph.adjacency(u))
@@ -344,85 +315,106 @@ def _count_noninduced_four_cycles(graph: Graph) -> int:
                 key = (a, b)
                 codegree[key] = codegree.get(key, 0) + 1
     paired = sum(c * (c - 1) // 2 for c in codegree.values())
-    assert paired % 2 == 0, "each 4-cycle has exactly two diagonals"
-    return paired // 2
+    return edges, tri, paired
 
 
-def count_motifs(graph: Graph) -> MotifCounts:
+def _vertex_triangles(edges: np.ndarray, tri: np.ndarray, n: int) -> np.ndarray:
+    """Triangles through each vertex from per-edge triangle counts (each
+    triangle at ``v`` is seen via both of its edges at ``v``)."""
+    vertex_tri = (
+        np.bincount(edges[:, 0], weights=tri, minlength=n)
+        + np.bincount(edges[:, 1], weights=tri, minlength=n)
+    ).astype(np.int64)
+    assert np.all(vertex_tri % 2 == 0)
+    return vertex_tri // 2
+
+
+def triangle_counts(graph: Graph | CSRGraph) -> tuple[int, np.ndarray]:
+    """``(sum over edges of tri_e, triangles per vertex)`` — the exact
+    integers behind transitivity (three per triangle) and local
+    clustering."""
+    csr = as_csr(graph)
+    edges, tri, _ = _triangle_substrate(csr)
+    return int(tri.sum()), _vertex_triangles(edges, tri, csr.n_vertices)
+
+
+def _count_four_cliques(csr: CSRGraph, edges: np.ndarray, tri: np.ndarray) -> int:
+    """Count 4-cliques, each once at its two smallest vertices: for every
+    candidate edge ``(u, v)``, ``u < v``, the adjacent pairs among the
+    common neighbours above ``v``.  Every edge of a 4-clique has at
+    least two triangles, so the ``tri >= 2`` edges suffice as candidates.
+
+    Vectorized over the CSR rows: the candidates' head rows, filtered to
+    vertices above the tail that the tail also sees, give the common
+    neighbours (ascending, grouped by candidate), and their within-group
+    pairs are looked up among the CSR keys.  Over the wedge budget the
+    loop runs on adjacency sets.
+    """
+    keep = tri >= 2
+    heads, tails, tri = edges[keep, 0], edges[keep, 1], tri[keep]
+    head_degrees = np.diff(csr.indptr)[heads]
+    budget = max(int(head_degrees.sum()), int(np.sum(tri * (tri - 1) // 2)))
+    if budget > _MAX_VECTOR_WEDGES:
+        graph = csr.to_graph()
+        total = 0
+        for u, v in zip(heads.tolist(), tails.tolist()):
+            common = sorted(graph.adjacency(u) & graph.adjacency(v))
+            above = [w for w in common if w > v]
+            for i, w in enumerate(above):
+                total += len(graph.adjacency(w).intersection(above[i + 1 :]))
+        return total
+    if not heads.size:
+        return 0
+    n = np.int64(csr.n_vertices)
+    directed_keys = np.repeat(np.arange(n), np.diff(csr.indptr)) * n + csr.indices
+    group = np.repeat(np.arange(heads.size), head_degrees)
+    nbrs = csr.concatenated_rows(heads)
+    above = (nbrs > tails[group]) & _is_edge(directed_keys, tails[group] * n + nbrs)
+    nbrs, group = nbrs[above], group[above]
+    run_end = np.cumsum(np.bincount(group, minlength=heads.size))[group]
+    first, second = _pairs_in_runs(run_end)
+    return int(np.count_nonzero(_is_edge(directed_keys, nbrs[first] * n + nbrs[second])))
+
+
+def count_motifs(graph: Graph | CSRGraph, *, horizontal: bool = False) -> MotifCounts:
     """Count every induced motif of size up to four in ``graph``.
 
-    Complexity is dominated by the per-edge triangle intersection
-    (``O(m * d_max)``) and the 4-clique enumeration over triangle pairs,
-    matching the cost profile PGD reports for its exact mode.  The
-    triangle/codegree substrate and the subtraction identities run
-    vectorized (see :func:`_wedge_pair_counts`); graphs whose wedge
-    count would make the vectorized intermediates too large use the
-    original per-edge loops.  Both paths are integer-exact and produce
-    identical counts.
+    Both the triangle/codegree substrate and the 4-clique enumeration
+    are vectorized passes over the CSR rows, costing ``O(sum_v deg_v^2)``
+    for the wedges plus at most ``O(sum_e tri_e^2)`` for the triangle
+    pairs of the ``tri >= 2`` edges, the cost profile PGD reports for its
+    exact mode.  Graphs whose intermediates would be too large use per-edge
+    loops on a set :class:`Graph` instead; both paths are integer-exact
+    and produce identical counts.
+
+    ``horizontal`` declares ``graph`` a horizontal visibility graph,
+    which has no 4-clique (see :func:`repro.graph.metrics.hvg_degeneracy`),
+    so the enumeration is skipped.
     """
-    n = graph.n_vertices
-    m = graph.n_edges
-    degrees = graph.degrees()
-
-    vectorized = _wedge_pair_counts(graph)
-    if vectorized is not None:
-        edge_arr, tri, _, paired = vectorized
-        heads, tails = edge_arr[:, 0], edge_arr[:, 1]
-        triangles = int(tri.sum()) // 3
-        m33 = int(np.sum(n - (degrees[heads] + degrees[tails] - tri))) if m else 0
-        # Only edges inside at least one triangle pair (tri >= 2) can
-        # carry a 4-clique; enumerating just those keeps the one
-        # remaining Python loop short.
-        candidates = [tuple(edge) for edge in edge_arr[tri >= 2].tolist()]
-        k4 = _count_four_cliques(graph, candidates)
-        assert paired % 2 == 0, "each 4-cycle has exactly two diagonals"
-        cycles_noninduced = paired // 2
-        vertex_tri = (
-            np.bincount(heads, weights=tri, minlength=n)
-            + np.bincount(tails, weights=tri, minlength=n)
-        ).astype(np.int64)
-        paths_noninduced = (
-            int(np.sum((degrees[heads] - 1) * (degrees[tails] - 1) - tri)) if m else 0
-        )
-    else:
-        tri, edges = _edge_triangle_counts(graph)
-        triangles = int(tri.sum()) // 3
-        m33 = int(
-            sum(
-                n - (degrees[u] + degrees[v] - t)
-                for (u, v), t in zip(edges, tri, strict=True)
-            )
-        )
-        k4 = _count_four_cliques(graph, edges)
-        cycles_noninduced = _count_noninduced_four_cycles(graph)
-        vertex_tri = np.zeros(n, dtype=np.int64)
-        for (u, v), t in zip(edges, tri, strict=True):
-            vertex_tri[u] += t
-            vertex_tri[v] += t
-        paths_noninduced = int(
-            sum(
-                (degrees[u] - 1) * (degrees[v] - 1) - t
-                for (u, v), t in zip(edges, tri, strict=True)
-            )
-        )
-
-    # Tailed triangles from per-vertex triangle participation.
-    assert np.all(vertex_tri % 2 == 0)
-    vertex_tri //= 2  # each triangle at v is seen via both incident edges
+    csr = as_csr(graph)
+    n, m = csr.n_vertices, csr.n_edges
+    degrees = csr.degrees()
+    edges, tri, paired = _triangle_substrate(csr)
+    heads, tails = edges[:, 0], edges[:, 1]
+    k4 = 0 if horizontal else _count_four_cliques(csr, edges, tri)
+    assert paired % 2 == 0, "each 4-cycle has exactly two diagonals"
+    vertex_tri = _vertex_triangles(edges, tri, n)
 
     return motifs_from_primitives(
         MotifPrimitives(
             n=n,
             m=m,
-            triangles=triangles,
+            triangles=int(tri.sum()) // 3,
             wedges_noninduced=int(np.sum(degrees * (degrees - 1) // 2)),
             degree_choose3=int(np.sum(degrees * (degrees - 1) * (degrees - 2) // 6)),
             k4=k4,
-            cycles_noninduced=cycles_noninduced,
+            cycles_noninduced=paired // 2,
             tri_pair_sum=int(np.sum(tri * (tri - 1) // 2)),
             tailed_noninduced=int(np.sum(vertex_tri * (degrees - 2))),
-            paths_noninduced=paths_noninduced,
-            m33=m33,
+            paths_noninduced=int(
+                np.sum((degrees[heads] - 1) * (degrees[tails] - 1) - tri)
+            ),
+            m33=int(np.sum(n - (degrees[heads] + degrees[tails] - tri))),
         )
     )
 

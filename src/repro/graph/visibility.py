@@ -12,7 +12,9 @@ the horizontal visibility graph (HVG) of Luque et al. (2009):
 
 Both VG builders produce identical graphs (tested against each other and
 against brute force); ``visibility_graph`` dispatches to the
-divide-and-conquer variant by default.
+divide-and-conquer variant by default.  They return set :class:`Graph`
+objects and serve as the oracles the CSR builders of
+:mod:`repro.graph.fast` are tested against.
 
 Visibility definition (paper Def. 2.3): ``(i, j)`` with ``i < j`` is an
 edge iff for every ``k`` with ``i < k < j``::

@@ -21,8 +21,7 @@ from repro.core.features import FeatureExtractor
 from repro.graph.adjacency import Graph
 from repro.graph.fast import (
     CSRGraph,
-    fast_horizontal_visibility_graph,
-    fast_visibility_graph,
+    fast_horizontal_visibility_graph_csr,
     fast_visibility_graph_csr,
     hvg_edge_array,
     vg_edge_array,
@@ -65,21 +64,21 @@ class TestFastBuildersIdentical:
     def test_fast_vg_equals_naive_and_dc(self, values):
         reference = visibility_graph_naive(values)
         assert visibility_graph_dc(values) == reference
-        assert fast_visibility_graph(values) == reference
+        assert fast_visibility_graph_csr(values).to_graph() == reference
 
     @given(all_series)
     @settings(max_examples=60, deadline=None)
     def test_fast_hvg_equals_stack_and_naive(self, values):
         reference = horizontal_visibility_graph_naive(values)
         assert horizontal_visibility_graph(values) == reference
-        assert fast_horizontal_visibility_graph(values) == reference
+        assert fast_horizontal_visibility_graph_csr(values).to_graph() == reference
 
     @given(all_series)
     @settings(max_examples=40, deadline=None)
     def test_combined_builder_matches_individual(self, values):
         vg, hvg = visibility_graphs(values)
-        assert vg == visibility_graph_naive(values)
-        assert hvg == horizontal_visibility_graph_naive(values)
+        assert vg.to_graph() == visibility_graph_naive(values)
+        assert hvg.to_graph() == horizontal_visibility_graph_naive(values)
 
     @given(tie_series)
     @settings(max_examples=40, deadline=None)
@@ -92,10 +91,15 @@ class TestFastBuildersIdentical:
     def test_trivial_sizes(self):
         for values in ([], [1.0], [1.0, 1.0], [2.0, 1.0]):
             series = np.asarray(values)
-            assert fast_visibility_graph(series) == visibility_graph_naive(series)
-            assert fast_horizontal_visibility_graph(
+            assert fast_visibility_graph_csr(series).to_graph() == visibility_graph_naive(
                 series
-            ) == horizontal_visibility_graph_naive(series)
+            )
+            assert fast_horizontal_visibility_graph_csr(
+                series
+            ).to_graph() == horizontal_visibility_graph_naive(series)
+            vg, hvg = visibility_graphs(series)
+            assert vg.to_graph() == visibility_graph_naive(series)
+            assert hvg.to_graph() == horizontal_visibility_graph_naive(series)
 
 
 class TestCSRGraph:

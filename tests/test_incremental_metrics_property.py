@@ -149,9 +149,9 @@ class TestKCoreRepair:
     @given(all_series, st.integers(2, 16))
     @settings(max_examples=25, deadline=None)
     def test_lazy_repair_is_exact_under_drift(self, values, window):
-        """value() after arbitrary drift equals the batch peel — both
-        the bounded-repair path (frequent queries, small drift) and the
-        full-range fallback (one query after all pushes)."""
+        """value() equals the batch peel — both when queried after every
+        push (certificate checks) and once after all pushes (the
+        binary-search recompute)."""
         for kind in KINDS:
             eager = SlidingVisibilityGraph(kind, window=window)
             eager_state = KCoreState(eager.csr)
@@ -165,8 +165,29 @@ class TestKCoreRepair:
                 assert eager_state.value() == degeneracy(eager.graph())
             assert lazy_state.value() == degeneracy(lazy.graph())
 
+    @given(all_series, st.integers(1, 16), st.lists(st.integers(0, 9), max_size=150))
+    @settings(max_examples=40, deadline=None)
+    def test_irregular_queries_evictions_and_clears(self, values, window, ops):
+        """value() stays exact when pushes, explicit evictions and clears
+        pile up between queries (op 0 evicts, 1 clears, 2-4 push and
+        query, 5-9 push only)."""
+        for kind in KINDS:
+            sliding = SlidingVisibilityGraph(kind, window=window)
+            state = KCoreState(sliding.csr)
+            sliding.subscribe(state.apply)
+            for step, op in enumerate(ops):
+                if op == 0 and len(sliding):
+                    sliding.evict()
+                elif op == 1:
+                    sliding.clear()
+                else:
+                    sliding.push(values[step % values.size])
+                if 2 <= op <= 4:
+                    assert state.value() == degeneracy(sliding.graph())
+            assert state.value() == degeneracy(sliding.graph())
+
     def test_single_event_moves_degeneracy_by_at_most_one(self):
-        """The drift bound the bounded repair relies on."""
+        """Degeneracy moves by at most one per vertex event."""
         rng = np.random.default_rng(3)
         series = np.cumsum(rng.standard_normal(160))
         for kind in KINDS:
