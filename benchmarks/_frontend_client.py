@@ -3,7 +3,7 @@
 Runs as a *separate process* so the measured server does not share a
 GIL with its clients: 64 concurrent connections driven from one asyncio
 loop (cheap — the client work is just socket IO), which keeps the
-measurement identical for both front ends.
+measurement identical for both connection regimes.
 
 Usage: ``python _frontend_client.py SPEC_JSON PORT`` where SPEC_JSON
 holds::
@@ -78,7 +78,7 @@ async def _drive(
                     pass
 
     # Warmup outside the timed window: every pool entry once, so the
-    # timed run measures hot-cache traffic on both front ends.
+    # timed run measures hot-cache traffic.
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     try:
         for raw in pool:

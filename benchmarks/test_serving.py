@@ -19,12 +19,11 @@ isolates pure batching on unique series (modest on one core — the
 extraction itself is per-series; ``--jobs`` plus the engine's
 persistent worker pool add the multicore lever on real hardware).
 
-A second benchmark compares the two HTTP front ends end-to-end: the
-thread-per-connection ``ThreadingHTTPServer`` against the asyncio
-event-loop server, 64 concurrent keep-alive connections of hot-cache
-classify traffic on a single CPU.  The event loop wins because the one
-core stays on request handling and extraction instead of scheduling 64
-handler threads through the GIL.
+A second benchmark drives the HTTP front end end-to-end with 64
+concurrent connections of hot-cache classify traffic on a single CPU,
+once over persistent connections and once reconnecting per request.
+The event loop pays one accept per connection, so churn must stay
+within a fixed fraction of keep-alive throughput.
 
 Run with ``pytest benchmarks/test_serving.py -m bench``.
 """
@@ -49,15 +48,17 @@ pytestmark = pytest.mark.bench
 #: sequential single-request handling on throughput.
 SERVING_SPEEDUP_FLOOR = 1.3
 
-#: Acceptance floor (ISSUE 4): the asyncio front end must sustain this
-#: multiple of the threaded front end's throughput at 64 concurrent
-#: connections of hot-cache traffic on a single CPU.
-ASYNC_SPEEDUP_FLOOR = 1.5
+#: Floor: reconnecting per request must sustain this fraction of the
+#: keep-alive throughput at 64 concurrent connections of hot-cache
+#: traffic on a single CPU.  The event loop measured 0.76; the retired
+#: thread-per-connection front end measured 0.46, so a regression to
+#: per-connection cost of that kind falls under it.
+CHURN_TO_KEEP_ALIVE_FLOOR = 0.6
 
 FRONTEND_CLIENTS = pick(64, 4)
 FRONTEND_REQUESTS_PER_CLIENT = pick(40, 3)
 
-#: Measurement rounds per front end/regime; the best round is recorded
+#: Measurement rounds per regime; the best round is recorded
 #: (capability measurement — suppresses scheduler/interference noise on
 #: the single shared CPU).
 FRONTEND_ROUNDS = pick(3, 1)
@@ -237,7 +238,7 @@ def _merge_results(payload: dict) -> None:
     emit("BENCH_serving", rendered)
 
 
-# -- front-end comparison: asyncio event loop vs thread-per-connection --------
+# -- front end: keep-alive vs connection churn --------------------------------
 
 
 def _hot_request_pool(series_pool: list[np.ndarray]) -> list[str]:
@@ -255,8 +256,7 @@ def _hot_request_pool(series_pool: list[np.ndarray]) -> list[str]:
 
 def _run_client_process(spec_path, port: int) -> dict:
     """Drive the load from a separate process, so the measured server
-    never shares a GIL with its clients (the same driver measures both
-    front ends)."""
+    never shares a GIL with its clients."""
     import subprocess
     import sys
     from pathlib import Path
@@ -272,20 +272,17 @@ def _run_client_process(spec_path, port: int) -> dict:
     return json.loads(proc.stdout)
 
 
-def test_serving_async_vs_threaded_frontend(tmp_path):
+def test_serving_frontend_churn_vs_keep_alive(tmp_path):
     """64 concurrent connections of hot-cache classify traffic, two
-    regimes per front end:
+    regimes over the same server:
 
-    * ``keep_alive`` — 64 persistent connections; both front ends pay
-      only per-request work, so the gap is the per-request handler cost
-      (the event loop's light parser vs BaseHTTPRequestHandler).
+    * ``keep_alive`` — 64 persistent connections; only per-request work
+      (parse, route, batcher, write) is paid.
     * ``connection_churn`` — clients reconnect per request, the shape
-      of heavy traffic from many short-lived clients.  Thread-per-
-      connection pays a thread spawn + teardown per connection; the
-      event loop pays one accept.  This is the regime the acceptance
-      floor asserts on.
+      of heavy traffic from many short-lived clients; each request also
+      pays an accept and a teardown.  The floor bounds that overhead.
     """
-    from repro.serve import ModelStore, create_async_server, create_server
+    from repro.serve import ModelStore, create_async_server
 
     model = _fit_model()
     store = ModelStore(tmp_path / "store")
@@ -312,59 +309,39 @@ def test_serving_async_vs_threaded_frontend(tmp_path):
         )
         specs[regime] = spec_path
 
-    def measure() -> tuple[dict, dict]:
-        # Both servers stay up for the whole comparison and rounds
-        # alternate threaded/asyncio, so a transient slowdown of the
-        # shared CPU taxes both front ends instead of biasing whichever
-        # was measured then; per front end and regime the best round is
+    def measure() -> dict:
+        # Rounds alternate the regimes on one server, so a transient
+        # slowdown of the shared CPU taxes both instead of biasing
+        # whichever was measured then; per regime the best round is
         # kept (capability measurement on a noisy box).
-        threaded_server = create_server(store, port=0, max_wait_ms=5.0)
-        threaded_thread = threading.Thread(
-            target=threaded_server.serve_forever, daemon=True
-        )
-        threaded_thread.start()
-        async_server = create_async_server(store, port=0, max_wait_ms=5.0)
+        server = create_async_server(store, port=0, max_wait_ms=5.0)
         try:
-            _, async_port = async_server.start_background()
-            threaded_port = threaded_server.server_address[1]
-            threaded: dict = {}
-            async_loop: dict = {}
-            for regime, path in specs.items():
-                for _ in range(FRONTEND_ROUNDS):
-                    for results, port in (
-                        (threaded, threaded_port),
-                        (async_loop, async_port),
-                    ):
-                        outcome = _run_client_process(path, port)
-                        best = results.get(regime)
-                        if (
-                            best is None
-                            or outcome["throughput_rps"] > best["throughput_rps"]
-                        ):
-                            results[regime] = outcome
-            return threaded, async_loop
+            _, port = server.start_background()
+            best: dict = {}
+            for _ in range(FRONTEND_ROUNDS):
+                for regime, path in specs.items():
+                    outcome = _run_client_process(path, port)
+                    kept = best.get(regime)
+                    if kept is None or outcome["throughput_rps"] > kept["throughput_rps"]:
+                        best[regime] = outcome
+            return best
         finally:
-            threaded_server.shutdown()
-            threaded_server.server_close()
-            threaded_thread.join(timeout=10)
-            async_server.close()
+            server.close()
 
-    def speedup(regime: str) -> float:
+    def churn_ratio(best: dict) -> float:
         return round(
-            async_loop[regime]["throughput_rps"] / threaded[regime]["throughput_rps"],
+            best["connection_churn"]["throughput_rps"]
+            / best["keep_alive"]["throughput_rps"],
             2,
         )
 
-    # One re-measurement with fresh servers if a shared-CPU noise spike
+    # One re-measurement with a fresh server if a shared-CPU noise spike
     # pushed an attempt under the floor (the kept numbers are always a
     # genuine single measurement, never a blend).
     attempts = 0
     for attempts in (1, 2):
-        threaded, async_loop = measure()
-        if SMOKE or (
-            speedup("connection_churn") >= ASYNC_SPEEDUP_FLOOR
-            and speedup("keep_alive") >= 1.0
-        ):
+        best = measure()
+        if SMOKE or churn_ratio(best) >= CHURN_TO_KEEP_ALIVE_FLOOR:
             break
 
     payload = {
@@ -375,24 +352,17 @@ def test_serving_async_vs_threaded_frontend(tmp_path):
             "measurement_attempts": attempts,
             "series_length": SERIES_LENGTH,
             "hot_pool": HOT_POOL,
-            "floor": ASYNC_SPEEDUP_FLOOR,
-            "keep_alive": {
-                "threaded": threaded["keep_alive"],
-                "asyncio": async_loop["keep_alive"],
-                "throughput_speedup": speedup("keep_alive"),
-            },
-            "connection_churn": {
-                "requests_per_connection": 1,
-                "threaded": threaded["connection_churn"],
-                "asyncio": async_loop["connection_churn"],
-                "throughput_speedup": speedup("connection_churn"),
-            },
+            "floor": CHURN_TO_KEEP_ALIVE_FLOOR,
+            "keep_alive": best["keep_alive"],
+            "connection_churn": {"requests_per_connection": 1, **best["connection_churn"]},
+            "churn_to_keep_alive": churn_ratio(best),
         }
     }
     _merge_results(payload)
 
+    frontends = payload["frontends"]
+    for regime in ("keep_alive", "connection_churn"):
+        assert frontends[regime]["requests"] == FRONTEND_CLIENTS * FRONTEND_REQUESTS_PER_CLIENT
+        assert frontends[regime]["throughput_rps"] > 0
     if not SMOKE:
-        # The event loop beats thread-per-connection on one CPU: modestly
-        # on persistent connections, decisively under connection churn.
-        assert speedup("keep_alive") >= 1.0, payload["frontends"]
-        assert speedup("connection_churn") >= ASYNC_SPEEDUP_FLOOR, payload["frontends"]
+        assert frontends["churn_to_keep_alive"] >= CHURN_TO_KEEP_ALIVE_FLOOR, frontends

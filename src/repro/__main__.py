@@ -540,16 +540,17 @@ def _cmd_serve(args: argparse.Namespace, pipeline_config=None) -> int:
     With ``pipeline_config`` (the ``pipeline`` verb), a
     :class:`repro.pipeline.PipelineController` is attached to the
     shared state before traffic flows: stream ticks feed drift
-    detectors, and ``/v1/pipeline`` answers on both front ends.
+    detectors, and ``/v1/pipeline`` answers.
     """
-    from repro.serve import (
-        ModelStore,
-        create_async_server,
-        create_server,
-        serve_forever,
-    )
+    from repro.serve import ModelStore, create_async_server
     from repro.serve.store import ModelStoreError
 
+    if args.loop == "threads":
+        print(
+            "warning: --loop threads is deprecated and ignored; "
+            "serving on the asyncio front end",
+            file=sys.stderr,
+        )
     if args.max_sessions < 1:
         raise SystemExit(f"--max-sessions must be >= 1, got {args.max_sessions}")
     if args.stream_buffer is not None and args.stream_buffer < 1:
@@ -581,29 +582,17 @@ def _cmd_serve(args: argparse.Namespace, pipeline_config=None) -> int:
     )
     if args.stream_buffer is not None:
         options["stream_buffer_points"] = args.stream_buffer
-    if args.loop == "asyncio":
-        server = create_async_server(store, host=args.host, port=args.port, **options)
-    else:
-        try:
-            server = create_server(store, host=args.host, port=args.port, **options)
-        except OSError as exc:
-            raise SystemExit(f"cannot bind {args.host}:{args.port}: {exc}") from None
+    server = create_async_server(store, host=args.host, port=args.port, **options)
     if pipeline_config is not None:
         from repro.pipeline import PipelineController
 
         server.state.attach_pipeline(PipelineController(store, pipeline_config))
-    if args.loop == "asyncio":
-        try:
-            host, port = server.start_background()
-        except OSError as exc:
-            server.close()
-            raise SystemExit(str(exc)) from None
-    else:
-        host, port = server.server_address[:2]
-    print(
-        f"serving {len(names)} model(s) from {args.store} on http://{host}:{port} "
-        f"({args.loop} front end)"
-    )
+    try:
+        host, port = server.start_background()
+    except OSError as exc:
+        server.close()
+        raise SystemExit(str(exc)) from None
+    print(f"serving {len(names)} model(s) from {args.store} on http://{host}:{port}")
     print(
         "  POST /v1/classify   POST /v1/batch   POST /v1/stream   "
         "GET /v1/models   GET /v1/runs   GET /healthz   GET /metrics"
@@ -623,17 +612,14 @@ def _cmd_serve(args: argparse.Namespace, pipeline_config=None) -> int:
             f"min {pipeline_config.retrain.min_windows} windows, "
             f"cooldown {pipeline_config.cooldown_seconds}s)"
         )
-    if args.loop == "asyncio":
-        # The loop runs on a background thread; park the main thread so
-        # SIGINT lands here and triggers a clean shutdown.
-        try:
-            server.wait()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.close()
-    else:
-        serve_forever(server)
+    # The loop runs on a background thread; park the main thread so
+    # SIGINT lands here and triggers a clean shutdown.
+    try:
+        server.wait()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        server.close()
     return 0
 
 
@@ -1051,7 +1037,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--loop",
             choices=("asyncio", "threads"),
             default="asyncio",
-            help="front end: asyncio event loop (default) or thread-per-connection",
+            help="deprecated and ignored: the asyncio front end always serves",
         )
         sub.add_argument(
             "--reload-interval",

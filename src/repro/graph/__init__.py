@@ -7,13 +7,6 @@ time-series visibility transforms.
 """
 
 from repro.graph.adjacency import Graph
-from repro.graph.directed import (
-    WeightedGraph,
-    directed_visibility_degrees,
-    irreversibility_kld,
-    weighted_strength_statistics,
-    weighted_visibility_graph,
-)
 from repro.graph.extended_metrics import extended_graph_statistics
 from repro.graph.fast import (
     CSRGraph,
@@ -74,9 +67,4 @@ __all__ = [
     "graph_statistics",
     "hvg_degeneracy",
     "extended_graph_statistics",
-    "WeightedGraph",
-    "directed_visibility_degrees",
-    "irreversibility_kld",
-    "weighted_visibility_graph",
-    "weighted_strength_statistics",
 ]

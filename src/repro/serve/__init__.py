@@ -8,10 +8,9 @@ a long-lived classification service:
 * :class:`~repro.serve.engine.InferenceEngine` /
   :class:`~repro.serve.engine.MicroBatcher` — per-series feature LRU
   and coalescing of concurrent requests into batched extraction;
-* :func:`~repro.serve.http.create_server` /
-  :func:`~repro.serve.aio.create_async_server` — the two HTTP front
-  ends behind ``python -m repro serve --loop threads|asyncio``, sharing
-  one routing/state layer (hot model reload via
+* :func:`~repro.serve.aio.create_async_server` — the asyncio HTTP
+  front end behind ``python -m repro serve``, over the routing/state
+  layer in :mod:`repro.serve.http` (hot model reload via
   :class:`~repro.serve.http.StoreWatcher`, Prometheus-style
   ``GET /metrics`` via :mod:`repro.serve.metrics`).
 
@@ -28,13 +27,7 @@ Quickstart::
 
 from repro.serve.aio import AsyncInferenceServer, create_async_server
 from repro.serve.engine import ClassifyResult, InferenceEngine, MicroBatcher
-from repro.serve.http import (
-    InferenceServer,
-    ServerState,
-    StoreWatcher,
-    create_server,
-    serve_forever,
-)
+from repro.serve.http import ServerState, StoreWatcher
 from repro.serve.metrics import ServingMetrics
 from repro.serve.store import (
     IntegrityError,
@@ -57,14 +50,11 @@ __all__ = [
     "ClassifyResult",
     "InferenceEngine",
     "MicroBatcher",
-    "InferenceServer",
     "AsyncInferenceServer",
     "ServerState",
     "StoreWatcher",
     "ServingMetrics",
-    "create_server",
     "create_async_server",
-    "serve_forever",
     "IntegrityError",
     "ModelNotFoundError",
     "ModelRecord",

@@ -1,27 +1,21 @@
-"""Asyncio event-loop front end for the inference engine.
+"""The HTTP front end: an asyncio event-loop server for the inference engine.
 
-``python -m repro serve --loop asyncio`` serves the same six endpoints
-as the threaded front end (:mod:`repro.serve.http`) from a single
-selector event loop.  The connection layer is a raw
-:class:`asyncio.Protocol` — no streams, no task per connection, no task
-per request: ``data_received`` parses straight out of the connection
-buffer, immediate responses are written from the same callback, and
-classification results come back from the
+``python -m repro serve`` serves every endpoint of
+:mod:`repro.serve.http` from a single selector event loop.  The
+connection layer is a raw :class:`asyncio.Protocol` — no streams, no
+task per connection, no task per request: ``data_received`` parses
+straight out of the connection buffer, immediate responses are written
+from the same callback, and classification results come back from the
 :class:`~repro.serve.engine.MicroBatcher` worker through a
 :class:`_LoopNotifier` that coalesces a whole batch of completions into
 one loop wakeup.  The listener thread never blocks on classification
-and spends no cycles on scheduler hand-offs.
+and spends no cycles on scheduler hand-offs, so a single CPU stays on
+request parsing and extraction work.
 
-On a single-CPU box this is the front end that wins: a thread per
-connection spends the core on scheduling and GIL hand-offs, while the
-event loop keeps it on request parsing and extraction work
-(``benchmarks/test_serving.py`` records the comparison at 64 concurrent
-connections in ``results/BENCH_serving.json``).
-
-All routing, validation, error mapping, metrics and hot-reload state
-are shared with the threaded front end through
-:class:`~repro.serve.http.ServerState`, so ``/v1/classify`` responses
-are byte-identical whichever ``--loop`` is running.
+Routing, validation, error mapping, metrics and hot-reload state live
+in :class:`~repro.serve.http.ServerState` and
+:func:`~repro.serve.http.route_request`; this module only frames
+HTTP/1.1 requests and responses.
 
 Usage::
 
@@ -100,7 +94,17 @@ def _parse_head(head: bytes) -> tuple[str, str, str, dict[str, str]]:
         name, sep, value = line.partition(":")
         if not sep:
             raise ApiError(400, f"malformed header line {line!r}", close=True)
-        headers[name.strip().lower()] = value.strip()
+        name = name.strip().lower()
+        value = value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            # RFC 9112 §6.3: differing lengths leave the body boundary
+            # ambiguous, so the framing is invalid.
+            raise ApiError(
+                400,
+                f"conflicting Content-Length headers {headers[name]!r} and {value!r}",
+                close=True,
+            )
+        headers[name] = value
     return method, target, version, headers
 
 
@@ -361,20 +365,22 @@ class _ConnectionProtocol(asyncio.Protocol):
         self, method: str, path: str, response: Response, keep_alive: bool
     ) -> None:
         keep_alive = keep_alive and not response.close
+        elapsed = perf_counter() - self._t0
+        delivered = self._write(response, keep_alive)
         self.state.metrics.observe_request(
             metrics_route_label(path),
             method or "?",
-            response.status,
-            perf_counter() - self._t0,
+            # 499 "client closed request": the connection was gone
+            # before the response could go out.
+            response.status if delivered else 499,
+            elapsed,
         )
-        self._write(response, keep_alive)
 
     def _respond_error(
         self, exc: ApiError, method: str = "?", path: str = "other"
     ) -> None:
         """A protocol-level error outside normal routing (bad head,
-        truncated body): answer, record it, and close — same counters
-        the threaded front end increments for these failures."""
+        truncated body): answer, record it, and close."""
         self._head = None
         self._need = 0
         response = response_for_exception(exc)
@@ -386,13 +392,19 @@ class _ConnectionProtocol(asyncio.Protocol):
         )
         self._write(response, keep_alive=False)
 
-    def _write(self, response: Response, keep_alive: bool) -> None:
-        if self._closing or self.transport is None or self.transport.is_closing():
-            return
-        self.transport.write(_render_response_bytes(response, keep_alive))
+    def _write(self, response: Response, keep_alive: bool) -> bool:
+        """Send ``response``; ``False`` when the client is already gone."""
+        transport = self.transport
+        if self._closing or transport is None or transport.is_closing():
+            return False
+        transport.write(_render_response_bytes(response, keep_alive))
+        if transport.is_closing():  # the write hit a reset connection
+            self._closing = True
+            return False
         if not keep_alive:
             self._closing = True
-            self.transport.close()
+            transport.close()
+        return True
 
 
 class AsyncInferenceServer:
@@ -534,8 +546,8 @@ def create_async_server(
 ) -> AsyncInferenceServer:
     """An :class:`AsyncInferenceServer` over a fresh shared state
     (``port=0`` picks a free port, bound address in
-    ``server.server_address`` once started).  The streaming knobs
-    mirror :func:`~repro.serve.http.create_server`."""
+    ``server.server_address`` once started).  The remaining knobs are
+    :func:`~repro.serve.http.build_server_state`'s."""
     from repro.serve.stream import DEFAULT_MAX_SESSION_BUFFER
 
     state = build_server_state(

@@ -1,22 +1,12 @@
-"""HTTP serving core: shared routing/state plus the threaded front end.
+"""HTTP serving core: routing, validation and shared server state.
 
-Two front ends expose the same endpoints over a
-:class:`~repro.serve.store.ModelStore`:
-
-* this module's :class:`InferenceServer` — a stdlib
-  ``ThreadingHTTPServer``, one handler thread per connection;
-* :mod:`repro.serve.aio` — an asyncio event-loop server
-  (``python -m repro serve --loop asyncio``) that keeps a single CPU on
-  extraction work instead of thread scheduling.
-
-Everything below the socket layer is front-end-agnostic and lives
-here: :func:`route_request` maps ``(method, path, body)`` onto the
-shared :class:`ServerState`, returning either a finished
-:class:`Response` or a :class:`PendingResponse` whose
-:class:`~concurrent.futures.Future`\\ s resolve inside the
-:class:`~repro.serve.engine.MicroBatcher` worker — the threaded front
-end blocks on them, the asyncio front end awaits them, and both render
-byte-identical JSON bodies.
+The asyncio front end (:mod:`repro.serve.aio`) owns the sockets; this
+module owns everything above them.  :func:`route_request` maps
+``(method, path, body)`` onto the :class:`ServerState`, returning
+either a finished :class:`Response` or a :class:`PendingResponse`
+whose :class:`~concurrent.futures.Future`\\ s resolve inside the
+:class:`~repro.serve.engine.MicroBatcher` worker and which the event
+loop completes without blocking.
 
 ``POST /v1/classify``
     ``{"series": [..], "model": "name"?, "version": "latest"?}`` →
@@ -70,8 +60,7 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, IO
+from typing import Any, Callable
 
 from repro.core.slab import SlabPool
 from repro.serve.engine import ClassifyResult, InferenceEngine, MicroBatcher
@@ -98,7 +87,7 @@ MAX_BODY_BYTES = 32 * 1024 * 1024
 #: Largest accepted ``/v1/batch`` request.
 MAX_BATCH_SERIES = 1024
 
-#: How long a front end waits on an in-flight classification future.
+#: How long a request may wait on its in-flight classification futures.
 REQUEST_TIMEOUT_SECONDS = 60.0
 
 #: Batch-size histogram buckets for /metrics.
@@ -124,8 +113,8 @@ class Response:
     """A finished HTTP response, front-end independent.
 
     ``headers`` carries extra response headers (e.g. ``Retry-After`` on
-    a 429) as name/value pairs; both front ends render them verbatim
-    after the standard Content-Type/Content-Length block.
+    a 429) as name/value pairs, rendered verbatim after the standard
+    Content-Type/Content-Length block.
     """
 
     status: int
@@ -139,10 +128,9 @@ class Response:
 class PendingResponse:
     """Engine work in flight: futures plus the final payload builder.
 
-    The threaded front end resolves it with :func:`resolve_pending`;
-    the asyncio front end attaches done-callbacks and builds the
-    response once every future completes — either way ``build``
-    receives the ordered list of ``(label, scores)`` results.
+    The front end attaches done-callbacks and, once every future
+    completes, calls ``build`` with the ordered list of
+    ``(label, scores)`` results.
     """
 
     futures: list[Any]
@@ -156,23 +144,6 @@ def json_response(
     headers: tuple[tuple[str, str], ...] = (),
 ) -> Response:
     return Response(status, json.dumps(payload).encode(), "application/json", close, headers)
-
-
-def resolve_pending(
-    pending: PendingResponse, timeout: float = REQUEST_TIMEOUT_SECONDS
-) -> Response:
-    """Block on every future (threaded front end), then build.
-
-    ``timeout`` is one deadline for the whole request — the same flat
-    cutoff the asyncio front end enforces — not a per-future allowance
-    that could stack up across a large batch.
-    """
-    deadline = time.monotonic() + timeout
-    results = [
-        future.result(timeout=max(0.0, deadline - time.monotonic()))
-        for future in pending.futures
-    ]
-    return pending.build(results)
 
 
 def response_for_exception(exc: BaseException) -> Response:
@@ -223,9 +194,10 @@ def parse_content_length(
 ) -> int | None:
     """Validated Content-Length (``None`` when the header is absent).
 
-    Shared by both front ends so their 400/413 behavior — and error
-    strings — cannot drift apart.  Raises with ``close=True``: after a
-    rejected length the byte stream cannot carry keep-alive requests.
+    Only ``1*DIGIT`` is a length (RFC 9110 §8.6): ``int()`` would also
+    take ``"+7"`` or ``"1_0"``, which another parser on the path may
+    frame differently.  Raises with ``close=True``: after a rejected
+    length the byte stream cannot carry keep-alive requests.
 
     A ``Transfer-Encoding`` (chunked) request is rejected outright:
     treating it as body-less would leave the chunk framing in the
@@ -241,9 +213,9 @@ def parse_content_length(
     if header is None:
         return None
     try:
-        length = int(header)
-        if length < 0:
+        if not (header.isascii() and header.isdigit()):
             raise ValueError
+        length = int(header)  # also ValueError past int()'s digit limit
     except ValueError:
         raise ApiError(
             400, f"invalid Content-Length header {header!r}", close=True
@@ -261,27 +233,6 @@ def truncated_body_error(announced: int, received: int) -> ApiError:
         f"only {received} arrived before EOF",
         close=True,
     )
-
-
-def read_body_exact(stream: IO[bytes], length: int, chunk_size: int = 65536) -> bytes:
-    """Read exactly ``length`` bytes, tolerating short reads.
-
-    A slow or dribbling client delivers the body in pieces; a single
-    ``read(length)`` can come back short and used to surface as a bogus
-    400 "malformed JSON".  Loop until all bytes arrive; premature EOF
-    raises a *distinct* 400 naming the truncation.
-    """
-    chunks: list[bytes] = []
-    remaining = length
-    while remaining > 0:
-        chunk = stream.read(min(remaining, chunk_size))
-        if not chunk:
-            break
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    if remaining:
-        raise truncated_body_error(length, length - remaining)
-    return b"".join(chunks)
 
 
 def _reject_nonfinite(token: str) -> float:
@@ -318,7 +269,7 @@ def normalize_path(raw: str) -> str:
 
 
 class ServerState:
-    """Shared state behind both front ends.
+    """Shared state behind the HTTP front end.
 
     Owns the store, lazily constructs one ``(engine, batcher)`` pair per
     loaded model version, resolves which model a request addresses,
@@ -326,10 +277,11 @@ class ServerState:
     enabled) the hot-reload :class:`StoreWatcher`.
     """
 
-    # Every mutable map the two front ends share, with the lock that
-    # guards it (enforced by `repro check` lock-discipline).  _watcher
-    # and _pipeline are deliberately absent: both are set once during
-    # single-threaded startup and only cleared by close().
+    # Every mutable map the loop thread, batcher workers and watcher
+    # share, with the lock that guards it (enforced by `repro check`
+    # lock-discipline).  _watcher and _pipeline are deliberately absent:
+    # both are set once during single-threaded startup and only cleared
+    # by close().
     _GUARDED_BY = {
         "_loaded": "_lock",
         "_retired": "_lock",
@@ -1147,7 +1099,7 @@ class StoreWatcher:
             self.ticks_ += 1
 
 
-# -- routing (shared by both front ends) ---------------------------------------
+# -- routing -------------------------------------------------------------------
 
 
 def _route_classify(state: ServerState, body: bytes | None) -> PendingResponse:
@@ -1217,9 +1169,8 @@ def _route_stream(state: ServerState, body: bytes | None) -> Response | PendingR
     ``append`` points (labels stream back, one per stride once the
     window fills), ``status``, ``close``.
 
-    Every op runs on the stream scheduler's single worker and both
-    front ends await the same future (the threaded handler blocks, the
-    event loop parks the connection).  One worker for *all* ops means
+    Every op runs on the stream scheduler's single worker while the
+    event loop parks the connection on the op's future.  One worker for *all* ops means
     no two ops ever contend for a session lock, but scheduling across
     sessions is deficit-round-robin: appends queue per session (bounded
     — an over-full queue 429s here with ``Retry-After`` *before*
@@ -1415,127 +1366,6 @@ def route_request(
     return handler(state, body)
 
 
-# -- threaded front end --------------------------------------------------------
-
-
-class InferenceHandler(BaseHTTPRequestHandler):
-    """Routes requests onto the shared :class:`ServerState`."""
-
-    server_version = "repro-serve/1.1"
-    protocol_version = "HTTP/1.1"
-    # Headers and body leave in separate writes; without TCP_NODELAY the
-    # second segment can sit out a Nagle/delayed-ACK round trip (~40ms)
-    # per response.
-    disable_nagle_algorithm = True
-
-    # The default handler logs every request to stderr; keep the serving
-    # hot path quiet (the CLI announces the endpoint once at startup).
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        pass
-
-    @property
-    def state(self) -> ServerState:
-        return self.server.state  # type: ignore[attr-defined]
-
-    # -- plumbing ----------------------------------------------------------
-    def _read_body(self) -> bytes | None:
-        length = parse_content_length(
-            self.headers.get("Content-Length"),
-            self.headers.get("Transfer-Encoding"),
-        )
-        if length is None:
-            return None
-        if length == 0:
-            return b""
-        return read_body_exact(self.rfile, length)
-
-    def _send(self, response: Response) -> None:
-        self.send_response(response.status)
-        self.send_header("Content-Type", response.content_type)
-        self.send_header("Content-Length", str(len(response.body)))
-        for name, value in response.headers:
-            self.send_header(name, value)
-        if response.close:
-            # The request body was not (fully) consumed, so the byte
-            # stream cannot safely carry another keep-alive request.
-            self.close_connection = True
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(response.body)
-
-    def _dispatch(self, method: str) -> None:
-        t0 = time.perf_counter()
-        path = normalize_path(self.path)
-        response: Response | None = None
-        try:
-            try:
-                body = self._read_body()
-                result = route_request(self.state, method, path, body)
-                if isinstance(result, PendingResponse):
-                    result = resolve_pending(result)
-                response = result
-            except (BrokenPipeError, ConnectionResetError):
-                raise
-            except Exception as exc:  # noqa: BLE001 — mapped to a JSON error
-                response = response_for_exception(exc)
-            self._send(response)
-        except (BrokenPipeError, ConnectionResetError):
-            # Client went away mid-request/response; 499 is the
-            # conventional "client closed request" status for metrics.
-            self.close_connection = True
-            if response is None:
-                response = Response(499, b"", close=True)
-        finally:
-            self.state.metrics.observe_request(
-                metrics_route_label(path),
-                method,
-                response.status if response is not None else 500,
-                time.perf_counter() - t0,
-            )
-
-    def do_GET(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._dispatch("POST")
-
-    # Route every other common method too, so both front ends answer
-    # the same JSON 405/404 (not the BaseHTTPRequestHandler default
-    # 501) whatever the method.
-    def do_PUT(self) -> None:  # noqa: N802
-        self._dispatch("PUT")
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        self._dispatch("DELETE")
-
-    def do_PATCH(self) -> None:  # noqa: N802
-        self._dispatch("PATCH")
-
-    def do_HEAD(self) -> None:  # noqa: N802
-        self._dispatch("HEAD")
-
-    def do_OPTIONS(self) -> None:  # noqa: N802
-        self._dispatch("OPTIONS")
-
-
-class InferenceServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying the shared :class:`ServerState`."""
-
-    daemon_threads = True
-    # The socketserver default backlog of 5 drops SYNs under a burst of
-    # concurrent connects (the kernel retransmits seconds later); match
-    # the asyncio front end's listen depth.
-    request_queue_size = 128
-
-    def __init__(self, address: tuple[str, int], state: ServerState):
-        super().__init__(address, InferenceHandler)
-        self.state = state
-
-    def server_close(self) -> None:
-        super().server_close()
-        self.state.close()
-
-
 def build_server_state(
     store: ModelStore | str,
     default_model: str | None = None,
@@ -1548,7 +1378,7 @@ def build_server_state(
     max_stream_sessions: int = 64,
     stream_buffer_points: int = DEFAULT_MAX_SESSION_BUFFER,
 ) -> ServerState:
-    """The shared state both front-end factories build on.
+    """The shared state :func:`~repro.serve.aio.create_async_server` builds on.
 
     ``reload_interval_seconds > 0`` starts the hot-reload watcher
     (``drain_grace_seconds`` defaults to one watcher interval, floored
@@ -1575,44 +1405,3 @@ def build_server_state(
     if reload_interval_seconds > 0:
         state.start_watcher(reload_interval_seconds)
     return state
-
-
-def create_server(
-    store: ModelStore | str,
-    host: str = "127.0.0.1",
-    port: int = 8765,
-    default_model: str | None = None,
-    max_batch_size: int = 32,
-    max_wait_ms: float = 5.0,
-    feature_cache_size: int = 1024,
-    jobs: int | None = None,
-    reload_interval_seconds: float = 0.0,
-    drain_grace_seconds: float | None = None,
-    max_stream_sessions: int = 64,
-    stream_buffer_points: int = DEFAULT_MAX_SESSION_BUFFER,
-) -> InferenceServer:
-    """A ready-to-run threaded :class:`InferenceServer` (``port=0`` picks
-    a free port; the bound one is in ``server.server_address``)."""
-    state = build_server_state(
-        store,
-        default_model=default_model,
-        max_batch_size=max_batch_size,
-        max_wait_ms=max_wait_ms,
-        feature_cache_size=feature_cache_size,
-        jobs=jobs,
-        reload_interval_seconds=reload_interval_seconds,
-        drain_grace_seconds=drain_grace_seconds,
-        max_stream_sessions=max_stream_sessions,
-        stream_buffer_points=stream_buffer_points,
-    )
-    return InferenceServer((host, port), state)
-
-
-def serve_forever(server: InferenceServer) -> None:
-    """Run ``server`` until interrupted, then shut down cleanly."""
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()

@@ -286,9 +286,9 @@ class MetricsRegistry:
 class ServingMetrics:
     """The serving tier's request-path metric families.
 
-    One instance lives on the shared ``ServerState`` and is fed by both
-    front ends (threaded and asyncio), so a scrape sees identical
-    families whichever ``--loop`` is running.
+    One instance lives on the shared ``ServerState``; the front end
+    records every request into it, including a ``499`` for a client
+    that disconnected before its response went out.
     """
 
     #: Content type the exposition format mandates.

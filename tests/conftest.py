@@ -2,8 +2,34 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
+
+from repro.serve import create_async_server
+
+
+@contextlib.contextmanager
+def _running_server(store, pipeline=None, **options):
+    """An asyncio inference server on an ephemeral port for the ``with``
+    body; ``pipeline`` is attached before the loop starts, as the CLI
+    does."""
+    server = create_async_server(store, port=0, **options)
+    if pipeline is not None:
+        server.state.attach_pipeline(pipeline)
+    server.start_background()
+    try:
+        yield server
+    finally:
+        server.close()
+
+
+@pytest.fixture(scope="session")
+def serve():
+    """``with serve(store, **options) as server:`` starts and stops one
+    server; its port is ``server.server_address[1]``."""
+    return _running_server
 
 
 @pytest.fixture

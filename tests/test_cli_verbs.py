@@ -620,6 +620,12 @@ class TestServeStreamKnobs:
         with pytest.raises(SystemExit, match="stream-buffer must be >= 1"):
             main(["serve", "--store", "unused", "--stream-buffer", "0"])
 
+    @pytest.mark.parametrize("loop, warned", [("threads", True), ("asyncio", False)])
+    def test_deprecated_loop_flag_still_parses(self, capsys, loop, warned):
+        with pytest.raises(SystemExit, match="max-sessions must be >= 1"):
+            main(["serve", "--store", "unused", "--loop", loop, "--max-sessions", "0"])
+        assert ("--loop threads is deprecated" in capsys.readouterr().err) is warned
+
 
 class TestPipelineVerb:
     def test_requires_hot_reload(self):

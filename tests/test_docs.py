@@ -3,7 +3,6 @@ is listed in docs/metrics.md (and vice versa), and every relative link
 in docs/ and README.md resolves."""
 
 import re
-import threading
 import urllib.request
 from pathlib import Path
 
@@ -12,13 +11,13 @@ import pytest
 
 from repro.baselines.nn import NearestNeighborEuclidean
 from repro.pipeline import PipelineController
-from repro.serve import ModelStore, create_server
+from repro.serve import ModelStore
 
 REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
-def scrape(tmp_path_factory):
+def scrape(tmp_path_factory, serve):
     """One /metrics payload from a maximally-wired server: watcher on,
     pipeline attached, ledger-backed store — every collector registered,
     so every family renders at least its HELP/TYPE header."""
@@ -28,20 +27,15 @@ def scrape(tmp_path_factory):
         rng.normal(size=(8, 16)), np.repeat([0, 1], 4)
     )
     store.save(model, "nn")
-    server = create_server(
-        store, port=0, default_model="nn", reload_interval_seconds=0.2
-    )
-    server.state.attach_pipeline(PipelineController(store))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    port = server.server_address[1]
-    try:
+    with serve(
+        store,
+        pipeline=PipelineController(store),
+        default_model="nn",
+        reload_interval_seconds=0.2,
+    ) as server:
+        port = server.server_address[1]
         with urllib.request.urlopen(f"http://127.0.0.1:{port}/metrics") as response:
             yield response.read().decode()
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
 
 
 def _exported_families(payload: str) -> set[str]:

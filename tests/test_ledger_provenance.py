@@ -3,7 +3,6 @@ link back to its triggering drift event — in the store ledger and over
 ``GET /v1/runs``."""
 
 import json
-import threading
 import time
 import urllib.request
 
@@ -18,7 +17,6 @@ from repro.pipeline import (
     PipelineController,
     RetrainConfig,
 )
-from repro.serve.http import create_server
 from repro.serve.store import ModelStore
 
 WINDOW = 16
@@ -121,16 +119,9 @@ class TestLedgerChain:
 
 class TestRunsEndpoint:
     @pytest.fixture
-    def served(self, drifted_store):
-        server = create_server(drifted_store, port=0, default_model="nn")
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
+    def served(self, drifted_store, serve):
+        with serve(drifted_store, default_model="nn") as server:
             yield server.server_address[1]
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
 
     def _get(self, port, path):
         with urllib.request.urlopen(f"http://127.0.0.1:{port}{path}") as response:

@@ -22,8 +22,6 @@ from repro.pipeline import (
     PipelineController,
     RetrainConfig,
 )
-from repro.serve.aio import create_async_server
-from repro.serve.http import create_server
 from repro.serve.store import ModelNotFoundError, ModelStore
 
 WINDOW = 16
@@ -271,8 +269,8 @@ def _get(port, path):
         return body.decode()
 
 
-@pytest.fixture(params=["threads", "asyncio"])
-def live(request, tmp_path):
+@pytest.fixture
+def live(tmp_path, serve):
     """A serving stack with the pipeline attached and fast hot reload."""
     store = _seed_store(tmp_path)
     config = _fast_config(
@@ -286,32 +284,14 @@ def live(request, tmp_path):
         ),
         cooldown_seconds=0.5,
     )
-    if request.param == "threads":
-        server = create_server(
-            store, port=0, default_model="nn", max_wait_ms=1.0,
-            reload_interval_seconds=0.2,
-        )
-        server.state.attach_pipeline(PipelineController(store, config))
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        port = server.server_address[1]
-        try:
-            yield {"port": port, "state": server.state, "store": store}
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
-    else:
-        server = create_async_server(
-            store, port=0, default_model="nn", max_wait_ms=1.0,
-            reload_interval_seconds=0.2,
-        )
-        server.state.attach_pipeline(PipelineController(store, config))
-        _, port = server.start_background()
-        try:
-            yield {"port": port, "state": server.state, "store": store}
-        finally:
-            server.close()
+    with serve(
+        store,
+        pipeline=PipelineController(store, config),
+        default_model="nn",
+        max_wait_ms=1.0,
+        reload_interval_seconds=0.2,
+    ) as server:
+        yield {"port": server.server_address[1], "state": server.state, "store": store}
 
 
 class TestClosedLoop:

@@ -1,9 +1,8 @@
-"""The ``/v1/pipeline`` HTTP surface on both front ends, plus the
+"""The ``/v1/pipeline`` HTTP surface, plus the
 watcher's error accounting: a corrupted store manifest must count
 errors and keep the watcher ticking, not kill hot reload."""
 
 import json
-import threading
 import time
 import urllib.error
 import urllib.request
@@ -18,8 +17,6 @@ from repro.pipeline import (
     PipelineController,
     RetrainConfig,
 )
-from repro.serve.aio import create_async_server
-from repro.serve.http import create_server
 from repro.serve.store import ModelStore
 
 WINDOW = 16
@@ -70,53 +67,22 @@ def _pipeline_config():
     )
 
 
-@pytest.fixture(params=["threads", "asyncio"])
-def served(request, tmp_path):
-    """One server per front end; pipeline attached, watcher off."""
+@pytest.fixture
+def served(tmp_path, serve):
+    """A server with the pipeline attached, watcher off."""
     store = _make_store(tmp_path)
     controller = PipelineController(store, _pipeline_config())
-    if request.param == "threads":
-        server = create_server(store, port=0, default_model="nn", max_wait_ms=1.0)
-        server.state.attach_pipeline(controller)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            yield {"port": server.server_address[1], "state": server.state}
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
-    else:
-        server = create_async_server(store, port=0, default_model="nn", max_wait_ms=1.0)
-        server.state.attach_pipeline(controller)
-        _, port = server.start_background()
-        try:
-            yield {"port": port, "state": server.state}
-        finally:
-            server.close()
+    with serve(
+        store, pipeline=controller, default_model="nn", max_wait_ms=1.0
+    ) as server:
+        yield {"port": server.server_address[1], "state": server.state}
 
 
-@pytest.fixture(params=["threads", "asyncio"])
-def plain(request, tmp_path):
-    """Same servers with NO pipeline attached."""
-    store = _make_store(tmp_path)
-    if request.param == "threads":
-        server = create_server(store, port=0, default_model="nn", max_wait_ms=1.0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            yield {"port": server.server_address[1]}
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
-    else:
-        server = create_async_server(store, port=0, default_model="nn", max_wait_ms=1.0)
-        _, port = server.start_background()
-        try:
-            yield {"port": port}
-        finally:
-            server.close()
+@pytest.fixture
+def plain(tmp_path, serve):
+    """The same server with NO pipeline attached."""
+    with serve(_make_store(tmp_path), default_model="nn", max_wait_ms=1.0) as server:
+        yield {"port": server.server_address[1]}
 
 
 class TestPipelineRoutes:
@@ -187,19 +153,15 @@ class TestUnattachedPipeline:
 
 
 class TestWatcherErrorAccounting:
-    def test_corrupt_manifest_counts_errors_and_recovers(self, tmp_path):
+    def test_corrupt_manifest_counts_errors_and_recovers(self, tmp_path, serve):
         store = _make_store(tmp_path)
-        server = create_server(
-            store, port=0, default_model="nn", max_wait_ms=1.0,
-            reload_interval_seconds=0.05,
-        )
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        port = server.server_address[1]
         manifest = store.manifest_path
         original = manifest.read_bytes()
-        watcher = server.state._watcher
-        try:
+        with serve(
+            store, default_model="nn", max_wait_ms=1.0, reload_interval_seconds=0.05
+        ) as server:
+            port = server.server_address[1]
+            watcher = server.state._watcher
             deadline = time.monotonic() + 10
             while time.monotonic() < deadline and watcher.ticks_ == 0:
                 time.sleep(0.02)
@@ -234,7 +196,3 @@ class TestWatcherErrorAccounting:
             assert "repro_serve_watcher_ticks_total" in metrics
             _, created = _post(port, "/v1/stream", {"op": "create", "window": WINDOW})
             assert created["created"] is True
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)

@@ -1,18 +1,14 @@
-"""Asyncio front end: endpoint parity with the threaded server,
-protocol robustness (keep-alive, truncation, non-finite JSON) and hot
-reload on the shared ServerState.
+"""The asyncio front end's own behavior: HTTP/1.1 framing it alone
+parses (malformed request lines, keep-alive reuse), concurrency on one
+event loop, bind failures, hot reload and shutdown.
 
-The module-scoped fixture runs one AsyncInferenceServer (own event loop
-on a daemon thread) next to a ThreadingHTTPServer over the *same*
-store, so responses can be compared byte for byte.
+Endpoint semantics (routing, validation, error bodies, body reads)
+are covered over the same server in ``test_serve_http.py``.
 """
 
 import json
-import re
 import socket
 import threading
-import time
-import urllib.error
 import urllib.request
 
 import numpy as np
@@ -20,11 +16,11 @@ import pytest
 
 from repro.baselines.nn import NearestNeighborEuclidean
 from repro.core.pipeline import MVGClassifier
-from repro.serve import ModelStore, create_async_server, create_server
+from repro.serve import ModelStore, create_async_server
 
 
 @pytest.fixture(scope="module")
-def served(tmp_path_factory):
+def served(tmp_path_factory, serve):
     rng = np.random.default_rng(98765)
     t = np.linspace(0, 1, 64, endpoint=False)
 
@@ -42,31 +38,13 @@ def served(tmp_path_factory):
     store = ModelStore(tmp_path_factory.mktemp("store"))
     store.save(mvg, "mvg", metadata={"dataset": "synthetic"})
 
-    aio_server = create_async_server(store, port=0, default_model="mvg", max_wait_ms=2.0)
-    _, aio_port = aio_server.start_background()
-
-    threaded = create_server(store, port=0, default_model="mvg", max_wait_ms=2.0)
-    threaded_thread = threading.Thread(target=threaded.serve_forever, daemon=True)
-    threaded_thread.start()
-    try:
+    with serve(store, default_model="mvg", max_wait_ms=2.0) as server:
         yield {
-            "port": aio_port,
-            "threaded_port": threaded.server_address[1],
-            "server": aio_server,
+            "port": server.server_address[1],
             "store": store,
             "mvg": mvg,
             "X_test": X_test,
         }
-    finally:
-        threaded.shutdown()
-        threaded.server_close()
-        threaded_thread.join(timeout=10)
-        aio_server.close()
-
-
-def _get(port, path):
-    with urllib.request.urlopen(f"http://127.0.0.1:{port}{path}") as response:
-        return response.status, json.loads(response.read())
 
 
 def _post(port, path, payload):
@@ -77,13 +55,6 @@ def _post(port, path, payload):
     )
     with urllib.request.urlopen(request) as response:
         return response.status, json.loads(response.read())
-
-
-def _error(call):
-    with pytest.raises(urllib.error.HTTPError) as info:
-        call()
-    body = json.loads(info.value.read())
-    return info.value.code, body["error"]
 
 
 def _read_response(sock):
@@ -109,106 +80,6 @@ def _read_response(sock):
     return status, headers, body[:length]
 
 
-class TestEndpoints:
-    def test_healthz(self, served):
-        status, payload = _get(served["port"], "/healthz")
-        assert status == 200
-        assert payload["status"] == "ok"
-
-    def test_classify_matches_offline_predict(self, served):
-        offline = served["mvg"].predict(served["X_test"])
-        for series, expected in zip(served["X_test"], offline):
-            status, payload = _post(
-                served["port"], "/v1/classify", {"series": series.tolist()}
-            )
-            assert status == 200
-            assert payload["label"] == expected
-            assert abs(sum(payload["scores"].values()) - 1.0) < 1e-9
-
-    def test_batch_endpoint(self, served):
-        offline = list(served["mvg"].predict(served["X_test"]))
-        status, payload = _post(
-            served["port"],
-            "/v1/batch",
-            {"series": [s.tolist() for s in served["X_test"]]},
-        )
-        assert status == 200
-        assert payload["count"] == len(offline)
-        assert [r["label"] for r in payload["results"]] == offline
-
-    def test_models_endpoint(self, served):
-        status, payload = _get(served["port"], "/v1/models")
-        assert status == 200
-        assert {m["name"] for m in payload["models"]} == {"mvg"}
-
-    def test_metrics_endpoint(self, served):
-        _post(served["port"], "/v1/classify", {"series": served["X_test"][0].tolist()})
-        with urllib.request.urlopen(
-            f"http://127.0.0.1:{served['port']}/metrics"
-        ) as response:
-            assert response.status == 200
-            assert response.headers["Content-Type"].startswith("text/plain")
-            text = response.read().decode()
-        assert re.search(
-            r'^repro_serve_requests_total\{route="/v1/classify",method="POST",'
-            r'status="200"\} \d+$',
-            text,
-            re.M,
-        )
-
-    def test_unknown_route_is_404(self, served):
-        code, _ = _error(lambda: _get(served["port"], "/nope"))
-        assert code == 404
-
-    def test_wrong_method_is_405(self, served):
-        code, message = _error(lambda: _get(served["port"], "/v1/classify"))
-        assert code == 405
-        assert "GET" in message
-
-    def test_invalid_json_is_400(self, served):
-        request = urllib.request.Request(
-            f"http://127.0.0.1:{served['port']}/v1/classify",
-            data=b"{not json",
-            headers={"Content-Type": "application/json"},
-        )
-        code, _ = _error(lambda: urllib.request.urlopen(request))
-        assert code == 400
-
-    def test_nonfinite_json_is_400(self, served):
-        request = urllib.request.Request(
-            f"http://127.0.0.1:{served['port']}/v1/classify",
-            data=b'{"series": [1.0, NaN, 2.0, 3.0]}',
-            headers={"Content-Type": "application/json"},
-        )
-        code, message = _error(lambda: urllib.request.urlopen(request))
-        assert code == 400
-        assert "non-finite" in message
-
-
-class TestFrontendParity:
-    def test_classify_bytes_identical_to_threaded(self, served):
-        # Acceptance criterion: /v1/classify responses are byte-identical
-        # across front ends for the same store.  latency_ms is the one
-        # legitimately request-dependent field; normalize it before the
-        # byte comparison.
-        def raw_classify(port, body):
-            request = urllib.request.Request(
-                f"http://127.0.0.1:{port}/v1/classify",
-                data=body,
-                headers={"Content-Type": "application/json"},
-            )
-            with urllib.request.urlopen(request) as response:
-                return response.read()
-
-        for series in served["X_test"]:
-            body = json.dumps({"series": series.tolist()}).encode()
-            a = raw_classify(served["port"], body)
-            b = raw_classify(served["threaded_port"], body)
-            normalize = lambda raw: re.sub(rb'"latency_ms": [0-9.]+', b'"latency_ms": 0', raw)  # noqa: E731
-            assert normalize(a) == normalize(b)
-            assert b'"latency_ms": 0' in normalize(a)  # the field was there
-
-
 class TestProtocol:
     def test_keep_alive_reuses_connection(self, served):
         import http.client
@@ -224,53 +95,7 @@ class TestProtocol:
         finally:
             connection.close()
 
-    def test_truncated_body_is_distinct_400(self, served):
-        body = json.dumps({"series": served["X_test"][0].tolist()}).encode()
-        head = (
-            f"POST /v1/classify HTTP/1.1\r\nHost: t\r\n"
-            f"Content-Length: {len(body) + 50}\r\n\r\n"
-        ).encode()
-        with socket.create_connection(("127.0.0.1", served["port"]), timeout=30) as sock:
-            sock.sendall(head + body)
-            sock.shutdown(socket.SHUT_WR)
-            status, headers, response = _read_response(sock)
-        assert status == 400
-        assert "truncated" in json.loads(response)["error"]
-        assert headers.get("connection") == "close"
-
-    def test_dribbling_client_gets_200(self, served):
-        body = json.dumps({"series": served["X_test"][0].tolist()}).encode()
-        head = (
-            f"POST /v1/classify HTTP/1.1\r\nHost: t\r\n"
-            f"Content-Length: {len(body)}\r\n\r\n"
-        ).encode()
-        with socket.create_connection(("127.0.0.1", served["port"]), timeout=30) as sock:
-            sock.sendall(head)
-            for i in range(0, len(body), 97):
-                sock.sendall(body[i : i + 97])
-                time.sleep(0.002)
-            status, _, response = _read_response(sock)
-        assert status == 200
-        assert "label" in json.loads(response)
-
-    def test_chunked_transfer_encoding_rejected(self, served):
-        # Treating a chunked body as "no body" would leave the chunk
-        # framing in the socket to be misparsed as the next request.
-        raw = (
-            b"POST /v1/classify HTTP/1.1\r\nHost: t\r\n"
-            b"Transfer-Encoding: chunked\r\n\r\n"
-            b"5\r\nhello\r\n0\r\n\r\n"
-        )
-        with socket.create_connection(("127.0.0.1", served["port"]), timeout=30) as sock:
-            sock.sendall(raw)
-            status, headers, body = _read_response(sock)
-        assert status == 501
-        assert "Transfer-Encoding" in json.loads(body)["error"]
-        assert headers.get("connection") == "close"
-
-    def test_foreground_run_raises_on_bind_failure(self, served, tmp_path):
-        from repro.serve import create_async_server
-
+    def test_foreground_run_raises_on_bind_failure(self, served):
         occupied = served["port"]
         server = create_async_server(served["store"].root, port=occupied)
         with pytest.raises(OSError):

@@ -2,12 +2,13 @@
 
 The module-scoped server holds two stored models (an MVG pipeline and a
 1-NN baseline) so model selection, defaults and 4xx paths are all
-exercised against a live ThreadingHTTPServer on an ephemeral port.
+exercised against a live asyncio server on an ephemeral port.
 """
 
 import json
 import re
 import socket
+import struct
 import threading
 import time
 import urllib.error
@@ -18,11 +19,11 @@ import pytest
 
 from repro.baselines.nn import NearestNeighborEuclidean
 from repro.core.pipeline import MVGClassifier
-from repro.serve import ModelStore, create_server
+from repro.serve import ModelStore
 
 
 @pytest.fixture(scope="module")
-def served(tmp_path_factory):
+def served(tmp_path_factory, serve):
     rng = np.random.default_rng(54321)
     t = np.linspace(0, 1, 64, endpoint=False)
 
@@ -43,22 +44,14 @@ def served(tmp_path_factory):
     store.save(mvg, "mvg", metadata={"dataset": "synthetic"})
     store.save(nn, "nn")
 
-    server = create_server(store, port=0, default_model="mvg", max_wait_ms=2.0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    port = server.server_address[1]
-    try:
+    with serve(store, default_model="mvg", max_wait_ms=2.0) as server:
         yield {
-            "port": port,
+            "port": server.server_address[1],
             "store": store,
             "mvg": mvg,
             "nn": nn,
             "X_test": X_test,
         }
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
 
 
 def _get(port, path):
@@ -309,13 +302,27 @@ class TestKeepAlive:
         finally:
             connection.close()
 
-    def test_invalid_content_length_closes_connection(self, served):
-        # An unparseable Content-Length means the body size is unknown,
-        # so the byte stream cannot carry another keep-alive request.
+    @pytest.mark.parametrize("length", ["banana", "1_0", "+7"])
+    def test_invalid_content_length_closes_connection(self, served, length):
+        # Only 1*DIGIT is a length: anything else leaves the body size
+        # unknown, so the byte stream cannot carry another keep-alive
+        # request.  ("1_0" and "+7" are lengths to Python's int().)
         status, headers, body = _raw_request(
             served["port"],
             b"POST /v1/classify HTTP/1.1\r\nHost: x\r\n"
-            b"Content-Length: banana\r\n\r\n",
+            b"Content-Length: " + length.encode() + b"\r\n\r\n0123456789",
+        )
+        assert status == 400
+        assert headers.get("connection") == "close"
+        assert "Content-Length" in json.loads(body)["error"]
+
+    def test_conflicting_content_lengths_close_connection(self, served):
+        # Two differing lengths make the body boundary ambiguous
+        # (RFC 9112 section 6.3): 400 and close, never "last one wins".
+        status, headers, body = _raw_request(
+            served["port"],
+            b"POST /v1/classify HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: 5\r\nContent-Length: 10\r\n\r\n0123456789",
         )
         assert status == 400
         assert headers.get("connection") == "close"
@@ -368,7 +375,7 @@ class TestConcurrentClients:
 
 
 class TestCorruptStore:
-    def test_tampered_blob_is_500(self, tmp_path):
+    def test_tampered_blob_is_500(self, tmp_path, serve):
         from repro.baselines.nn import NearestNeighborEuclidean
 
         rng = np.random.default_rng(0)
@@ -379,10 +386,7 @@ class TestCorruptStore:
         blob = store.root / "blobs" / "nn" / f"v{record.version}.json"
         blob.write_bytes(blob.read_bytes()[:-5] + b"]]]]]")
 
-        server = create_server(store, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
+        with serve(store) as server:
             code, message = _error(
                 lambda: _post(
                     server.server_address[1],
@@ -390,12 +394,8 @@ class TestCorruptStore:
                     {"series": X[0].tolist()},
                 )
             )
-            assert code == 500
-            assert "hash mismatch" in message
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
+        assert code == 500
+        assert "hash mismatch" in message
 
 
 class TestBodyReads:
@@ -529,6 +529,36 @@ class TestMetricsEndpoint:
         # Exactly one family header even with several loaded engines.
         assert text.count("# TYPE repro_serve_batch_size histogram") == 1
 
+    def test_client_disconnect_mid_classify_is_499(self, served, serve):
+        # The client resets its connection while the request lingers in
+        # the micro-batcher: the response is never delivered, so the
+        # scrape must count a 499, not the route's 200.
+        body = json.dumps({"series": served["X_test"][0].tolist()}).encode()
+        request = (
+            b"POST /v1/classify HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n" + body
+        )
+        with serve(served["store"], default_model="nn", max_wait_ms=500.0) as server:
+            port = server.server_address[1]
+            sock = socket.create_connection(("127.0.0.1", port), timeout=30)
+            sock.sendall(request)
+            time.sleep(0.1)
+            # SO_LINGER 0: close() sends a reset instead of a FIN.
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()
+            line = re.compile(
+                r'^repro_serve_requests_total\{route="/v1/classify",method="POST",'
+                r'status="(\d+)"\} (\d+)$',
+                re.M,
+            )
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                counts = dict(line.findall(self._scrape(port)))
+                if counts:
+                    break
+                time.sleep(0.05)
+        assert counts == {"499": "1"}
+
     def test_unknown_routes_share_one_metrics_label(self, served):
         _error(lambda: _get(served["port"], "/scanner/probe/xyz"))
         text = self._scrape(served["port"])
@@ -537,22 +567,15 @@ class TestMetricsEndpoint:
 
 
 class TestEmptyStore:
-    def test_classify_against_empty_store_is_404(self, tmp_path):
-        server = create_server(ModelStore(tmp_path / "empty"), port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
+    def test_classify_against_empty_store_is_404(self, tmp_path, serve):
+        with serve(ModelStore(tmp_path / "empty")) as server:
             code, message = _error(
                 lambda: _post(
                     server.server_address[1], "/v1/classify", {"series": [1, 2, 3, 4]}
                 )
             )
-            assert code == 404
-            assert "empty" in message
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
+        assert code == 404
+        assert "empty" in message
 
 
 class TestHotReload:
@@ -560,18 +583,14 @@ class TestHotReload:
     versions, stale-catalog refresh before a 404."""
 
     @pytest.fixture
-    def reload_setup(self, tmp_path):
+    def reload_setup(self, tmp_path, serve):
         rng = np.random.default_rng(7)
         X = rng.normal(size=(8, 16))
         y = np.repeat([0, 1], 4)
         nn = NearestNeighborEuclidean().fit(X, y)
         store = ModelStore(tmp_path / "store")
         store.save(nn, "m")
-        server = create_server(store, port=0, max_wait_ms=1.0)
-        server.state.drain_grace_seconds = 0.0
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
+        with serve(store, max_wait_ms=1.0, drain_grace_seconds=0.0) as server:
             yield {
                 "port": server.server_address[1],
                 "store": store,
@@ -579,10 +598,6 @@ class TestHotReload:
                 "X": X,
                 "nn": nn,
             }
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
 
     def _classify(self, setup, **extra):
         _, payload = _post(
@@ -630,20 +645,15 @@ class TestHotReload:
         assert ("m", 2) not in loaded
         assert health["engines_retired"] == 0
 
-    def test_new_version_picked_up_within_one_watcher_tick(self, tmp_path):
+    def test_new_version_picked_up_within_one_watcher_tick(self, tmp_path, serve):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(8, 16))
         y = np.repeat([0, 1], 4)
         nn = NearestNeighborEuclidean().fit(X, y)
         store = ModelStore(tmp_path / "store")
         store.save(nn, "m")
-        server = create_server(
-            store, port=0, max_wait_ms=1.0, reload_interval_seconds=0.05
-        )
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        port = server.server_address[1]
-        try:
+        with serve(store, max_wait_ms=1.0, reload_interval_seconds=0.05) as server:
+            port = server.server_address[1]
             _, payload = _post(port, "/v1/classify", {"series": X[0].tolist()})
             assert payload["version"] == 1
 
@@ -662,12 +672,8 @@ class TestHotReload:
                 for e in server.state.health()["engines_loaded"]
             }
             assert ("m", 2) in loaded
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
 
-    def test_concurrent_classify_during_reload(self, tmp_path):
+    def test_concurrent_classify_during_reload(self, tmp_path, serve):
         # Clients hammer /v1/classify while versions are published and
         # deleted underneath them: every request succeeds, answered by
         # whichever version was live (old ones drain, never 500).
@@ -677,22 +683,12 @@ class TestHotReload:
         nn = NearestNeighborEuclidean().fit(X, y)
         store = ModelStore(tmp_path / "store")
         store.save(nn, "m")
-        server = create_server(
-            store,
-            port=0,
-            max_wait_ms=1.0,
-            reload_interval_seconds=0.05,
-            drain_grace_seconds=0.2,
-        )
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        port = server.server_address[1]
         stop = threading.Event()
         versions_seen: set[int] = set()
         errors: list[Exception] = []
         lock = threading.Lock()
 
-        def client():
+        def client(port):
             while not stop.is_set():
                 try:
                     _, payload = _post(
@@ -704,26 +700,28 @@ class TestHotReload:
                     errors.append(exc)
                     return
 
-        clients = [threading.Thread(target=client) for _ in range(4)]
-        try:
-            for c in clients:
-                c.start()
-            time.sleep(0.2)
-            store.save(nn, "m")  # v2 appears mid-traffic
-            time.sleep(0.3)
-            store.delete("m", 1)  # v1 retired while possibly in flight
-            time.sleep(0.3)
-        finally:
-            stop.set()
-            for c in clients:
-                c.join(timeout=10)
-        try:
+        with serve(
+            store,
+            max_wait_ms=1.0,
+            reload_interval_seconds=0.05,
+            drain_grace_seconds=0.2,
+        ) as server:
+            port = server.server_address[1]
+            clients = [threading.Thread(target=client, args=(port,)) for _ in range(4)]
+            try:
+                for c in clients:
+                    c.start()
+                time.sleep(0.2)
+                store.save(nn, "m")  # v2 appears mid-traffic
+                time.sleep(0.3)
+                store.delete("m", 1)  # v1 retired while possibly in flight
+                time.sleep(0.3)
+            finally:
+                stop.set()
+                for c in clients:
+                    c.join(timeout=10)
             assert not errors, errors
             assert versions_seen >= {1, 2}
             # After the dust settles, latest (v2) answers.
             _, payload = _post(port, "/v1/classify", {"series": X[0].tolist()})
             assert payload["version"] == 2
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)

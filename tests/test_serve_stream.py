@@ -1,9 +1,8 @@
 """Streaming sessions: StreamSession semantics, the /v1/stream endpoint
-on both front ends, hot-reload interaction (clean 409, not a 500) and
+over HTTP, hot-reload interaction (clean 409, not a 500) and
 the shared feature LRU."""
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
@@ -18,8 +17,6 @@ from repro.serve import (
     ModelStore,
     SessionClosedError,
     StreamSession,
-    create_async_server,
-    create_server,
 )
 
 
@@ -139,33 +136,22 @@ class TestStreamSession:
             assert engine.cache_misses_ == 1
 
 
-@pytest.fixture(scope="module", params=["threads", "asyncio"])
-def served(request, mvg_setup, tmp_path_factory):
-    """One server per front end, with an MVG and a generic model."""
+@pytest.fixture(scope="module")
+def served(mvg_setup, tmp_path_factory, serve):
+    """One server with an MVG and a generic model."""
     model, stream = mvg_setup
-    store = ModelStore(tmp_path_factory.mktemp(f"store-{request.param}"))
+    store = ModelStore(tmp_path_factory.mktemp("store"))
     store.save(model, "mvg")
     rng = np.random.default_rng(1)
     nn = NearestNeighborEuclidean().fit(rng.normal(size=(8, 16)), np.repeat([0, 1], 4))
     store.save(nn, "nn")
-    if request.param == "threads":
-        server = create_server(store, port=0, default_model="mvg", max_wait_ms=1.0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        port = server.server_address[1]
-        try:
-            yield {"port": port, "model": model, "stream": stream, "state": server.state}
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
-    else:
-        server = create_async_server(store, port=0, default_model="mvg", max_wait_ms=1.0)
-        _, port = server.start_background()
-        try:
-            yield {"port": port, "model": model, "stream": stream, "state": server.state}
-        finally:
-            server.close()
+    with serve(store, default_model="mvg", max_wait_ms=1.0) as server:
+        yield {
+            "port": server.server_address[1],
+            "model": model,
+            "stream": stream,
+            "state": server.state,
+        }
 
 
 class TestStreamEndpoint:
@@ -253,28 +239,20 @@ class TestHotReloadInteraction:
     tick with a clean 409, never a 500 from a retired engine."""
 
     @pytest.fixture
-    def reload_served(self, tmp_path):
+    def reload_served(self, tmp_path, serve):
         rng = np.random.default_rng(11)
         X = rng.normal(size=(8, 16))
         y = np.repeat([0, 1], 4)
         nn = NearestNeighborEuclidean().fit(X, y)
         store = ModelStore(tmp_path / "store")
         store.save(nn, "m")
-        server = create_server(store, port=0, max_wait_ms=1.0)
-        server.state.drain_grace_seconds = 0.0
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
+        with serve(store, max_wait_ms=1.0, drain_grace_seconds=0.0) as server:
             yield {
                 "port": server.server_address[1],
                 "store": store,
                 "state": server.state,
                 "nn": nn,
             }
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
 
     def test_evicted_version_409s_next_tick(self, reload_served):
         setup = reload_served

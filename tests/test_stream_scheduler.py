@@ -19,7 +19,6 @@ from repro.serve import (
     SessionClosedError,
     StreamScheduler,
     StreamSession,
-    create_server,
 )
 
 
@@ -155,24 +154,14 @@ class TestAppendRacingClose:
 
 
 @pytest.fixture(scope="module")
-def served(tmp_path_factory):
-    """A threaded server with a tiny per-session stream buffer."""
+def served(tmp_path_factory, serve):
+    """A server with a tiny per-session stream buffer."""
     store = ModelStore(tmp_path_factory.mktemp("store-backpressure"))
     rng = np.random.default_rng(7)
     nn = NearestNeighborEuclidean().fit(rng.normal(size=(8, 16)), np.repeat([0, 1], 4))
     store.save(nn, "nn")
-    server = create_server(
-        store, port=0, default_model="nn", stream_buffer_points=64
-    )
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    port = server.server_address[1]
-    try:
-        yield {"port": port, "state": server.state}
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
+    with serve(store, default_model="nn", stream_buffer_points=64) as server:
+        yield {"port": server.server_address[1], "state": server.state}
 
 
 def _post(port, payload):
