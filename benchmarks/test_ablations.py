@@ -50,7 +50,7 @@ def _evaluate_config(config: FeatureConfig, names=PANEL) -> tuple[float, int]:
     return float(np.mean(errors)), n_features
 
 
-def test_tau_ablation(benchmark):
+def test_tau_ablation(benchmark, artifact_dir):
     rows = []
 
     def run():
@@ -64,13 +64,13 @@ def test_tau_ablation(benchmark):
     text = format_table(
         ["Setting", "mean error", "n_features"], rows, title="Ablation: tau threshold"
     )
-    emit("ablation_tau", text)
+    emit(artifact_dir, "ablation_tau", text)
     # The paper's claim: tau is not a sensitive parameter.
     errors = [row[1] for row in rows]
     assert max(errors) - min(errors) < 0.25
 
 
-def test_feature_set_ablation(benchmark):
+def test_feature_set_ablation(benchmark, artifact_dir):
     rows = []
 
     def run():
@@ -86,10 +86,10 @@ def test_feature_set_ablation(benchmark):
         rows,
         title="Ablation: MPDs vs all vs extended (Section-6) features",
     )
-    emit("ablation_features", text)
+    emit(artifact_dir, "ablation_features", text)
 
 
-def test_wl_kernel_vs_mvg(benchmark):
+def test_wl_kernel_vs_mvg(benchmark, artifact_dir):
     rows = []
 
     def run():
@@ -109,7 +109,7 @@ def test_wl_kernel_vs_mvg(benchmark):
         rows,
         title="Ablation: statistical MVG features vs WL graph kernel (Section 5)",
     )
-    emit("ablation_wl_kernel", text)
+    emit(artifact_dir, "ablation_wl_kernel", text)
 
 
 @pytest.mark.parametrize("scales", ["uvg", "amvg", "mvg"])

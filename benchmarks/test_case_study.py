@@ -9,11 +9,11 @@ import pytest
 pytestmark = pytest.mark.bench
 
 
-def test_figure10_case_study(benchmark):
+def test_figure10_case_study(benchmark, artifact_dir):
     result = benchmark.pedantic(
         run_case_study, kwargs={"dataset": pick("FordA", "BeetleFly"), "top_n": 10}, rounds=1, iterations=1
     )
     assert len(result["top_features"]) == 10
     text = render_case_study(result)
-    emit("fig10", text)
+    emit(artifact_dir, "fig10", text)
     benchmark.extra_info["test_error"] = round(result["error"], 3)

@@ -18,15 +18,15 @@ from repro.experiments.cd_diagrams import (
 pytestmark = pytest.mark.bench
 
 
-def test_figure6_classifier_families(benchmark):
+def test_figure6_classifier_families(benchmark, artifact_dir):
     payload = benchmark.pedantic(run_fig6, rounds=1, iterations=1)
     text = render_cd(payload, FIG6_METHODS, "Figure 6: classifier families on MVG features")
     assert "CD =" in text
-    emit("fig6", text)
+    emit(artifact_dir, "fig6", text)
 
 
-def test_figure7_stacking(benchmark):
+def test_figure7_stacking(benchmark, artifact_dir):
     payload = benchmark.pedantic(run_fig7, rounds=1, iterations=1)
     text = render_cd(payload, FIG7_METHODS, "Figure 7: stacked generalization")
     assert "CD =" in text
-    emit("fig7", text)
+    emit(artifact_dir, "fig7", text)

@@ -1,5 +1,5 @@
 """Headline fast-path benchmark: builder and sweep speedups, recorded as
-``results/BENCH_fastpath.json``.
+``BENCH_fastpath.json``.
 
 Two measurements back the fast-path subsystem's acceptance criteria:
 
@@ -34,7 +34,6 @@ from _bench_utils import SMOKE, emit, pick
 from repro.core.batch import BatchFeatureExtractor
 from repro.core.config import HEURISTIC_COLUMNS
 from repro.core.features import FeatureExtractor, feature_mask
-from repro.experiments.harness import results_dir
 from repro.graph.fast import visibility_graphs
 from repro.graph.visibility import (
     horizontal_visibility_graph,
@@ -79,7 +78,7 @@ def _interleaved(fns: dict, rounds: int = TIMING_ROUNDS, inner: int = 3) -> dict
     return best
 
 
-def test_fastpath_builders_and_sweep(monkeypatch):
+def test_fastpath_builders_and_sweep(monkeypatch, artifact_dir):
     payload: dict = {"n": BUILDER_N, "floors": {
         "builders": BUILDER_SPEEDUP_FLOOR, "sweep": SWEEP_SPEEDUP_FLOOR,
     }}
@@ -139,7 +138,7 @@ def test_fastpath_builders_and_sweep(monkeypatch):
     serial_now = time.perf_counter() - t0
     assert np.array_equal(ref_train, serial_now_train)
 
-    cache_dir = results_dir() / "BENCH_fastpath_cache"
+    cache_dir = artifact_dir / "BENCH_fastpath_cache"
     for stale in cache_dir.glob("*") if cache_dir.is_dir() else ():
         stale.unlink()
     batch = BatchFeatureExtractor(config, n_jobs=4, cache_dir=cache_dir)
@@ -171,9 +170,9 @@ def test_fastpath_builders_and_sweep(monkeypatch):
     mask = feature_mask(batch.feature_names_, HEURISTIC_COLUMNS["A"])
     assert mask.sum() > 0
 
-    path = results_dir() / "BENCH_fastpath.json"
+    path = artifact_dir / "BENCH_fastpath.json"
     path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    emit("BENCH_fastpath", json.dumps(payload, indent=1, sort_keys=True))
+    emit(artifact_dir, "BENCH_fastpath", json.dumps(payload, indent=1, sort_keys=True))
 
     if not SMOKE:
         assert builder_speedup >= BUILDER_SPEEDUP_FLOOR, payload["builders"]

@@ -19,28 +19,28 @@ from repro.experiments.figures import (
 pytestmark = pytest.mark.bench
 
 
-def test_figure2_motif_distributions(benchmark):
+def test_figure2_motif_distributions(benchmark, artifact_dir):
     text = benchmark.pedantic(render_figure2, args=("ArrowHead",), rounds=1, iterations=1)
     assert "connected 4-motifs" in text
-    emit("fig2", text)
+    emit(artifact_dir, "fig2", text)
 
 
 @pytest.mark.parametrize("figure", ["fig3", "fig4", "fig5"])
-def test_scatter_figures(benchmark, figure):
+def test_scatter_figures(benchmark, figure, artifact_dir):
     text = benchmark.pedantic(
         render_scatter_figure, args=(figure,), rounds=1, iterations=1
     )
     assert "wins:" in text
-    emit(figure, text)
+    emit(artifact_dir, figure, text)
 
 
-def test_figure8_mvg_vs_baselines(benchmark):
+def test_figure8_mvg_vs_baselines(benchmark, artifact_dir):
     text = benchmark.pedantic(render_figure8, rounds=1, iterations=1)
     assert "MVG" in text
-    emit("fig8", text)
+    emit(artifact_dir, "fig8", text)
 
 
-def test_figure9_runtime(benchmark):
+def test_figure9_runtime(benchmark, artifact_dir):
     text = benchmark.pedantic(render_figure9, rounds=1, iterations=1)
     assert "speedup" in text
-    emit("fig9", text)
+    emit(artifact_dir, "fig9", text)

@@ -13,7 +13,7 @@ serving state (threaded stack, hot reload polling, pipeline attached):
   session serves it (the ``StoreWatcher`` hot-load leg; bounded by the
   poll interval plus one engine swap).
 
-Recorded as ``results/BENCH_pipeline.json``; under
+Recorded as ``BENCH_pipeline.json``; under
 ``REPRO_BENCH_SMOKE=1`` everything runs tiny with no latency
 assertions.  Run with ``pytest benchmarks/test_pipeline_loop.py -m bench``.
 """
@@ -28,7 +28,6 @@ import pytest
 from _bench_utils import SMOKE, emit, pick
 
 from repro.baselines.nn import NearestNeighborEuclidean
-from repro.experiments.harness import results_dir
 from repro.pipeline import (
     DriftConfig,
     PipelineConfig,
@@ -97,7 +96,6 @@ def _one_round(tmp_path, round_index: int) -> dict:
     state = build_server_state(
         store,
         default_model="nn",
-        max_wait_ms=1.0,
         reload_interval_seconds=RELOAD_INTERVAL,
     )
     controller = PipelineController(store, _pipeline_config())
@@ -137,7 +135,7 @@ def _one_round(tmp_path, round_index: int) -> dict:
         state.close()
 
 
-def test_pipeline_trigger_to_live_latency(tmp_path):
+def test_pipeline_trigger_to_live_latency(tmp_path, artifact_dir):
     rounds = [_one_round(tmp_path, i) for i in range(ROUNDS)]
 
     def stats(key: str) -> dict:
@@ -163,10 +161,10 @@ def test_pipeline_trigger_to_live_latency(tmp_path):
         "per_round": rounds,
     }
 
-    path = results_dir() / "BENCH_pipeline.json"
+    path = artifact_dir / "BENCH_pipeline.json"
     rendered = json.dumps(payload, indent=1, sort_keys=True)
     path.write_text(rendered + "\n")
-    emit("BENCH_pipeline", rendered)
+    emit(artifact_dir, "BENCH_pipeline", rendered)
 
     # Every round really closed the loop on a freshly published version.
     assert all(r["published_version"] == 2 for r in rounds)

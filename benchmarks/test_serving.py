@@ -1,5 +1,5 @@
 """Serving-tier benchmark: micro-batching vs sequential single-request
-handling, recorded as ``results/BENCH_serving.json``.
+handling, recorded as ``BENCH_serving.json``.
 
 The workload models online classification traffic: concurrent client
 threads, mostly *hot* series (monitoring endpoints re-classifying the
@@ -36,10 +36,9 @@ import time
 
 import numpy as np
 import pytest
-from _bench_utils import SMOKE, emit, pick
+from _bench_utils import SMOKE, merge_json, pick
 
 from repro.core.pipeline import MVGClassifier
-from repro.experiments.harness import results_dir
 from repro.serve import InferenceEngine, MicroBatcher
 
 pytestmark = pytest.mark.bench
@@ -106,7 +105,6 @@ def _drive(
     model: MVGClassifier,
     schedule: list[list[np.ndarray]],
     max_batch_size: int,
-    max_wait_ms: float,
     feature_cache_size: int,
 ) -> dict:
     """Run the whole schedule through one serving configuration."""
@@ -115,9 +113,7 @@ def _drive(
     errors: list[Exception] = []
 
     with InferenceEngine(model, feature_cache_size=feature_cache_size) as engine:
-        with MicroBatcher(
-            engine, max_batch_size=max_batch_size, max_wait_ms=max_wait_ms
-        ) as batcher:
+        with MicroBatcher(engine, max_batch_size=max_batch_size) as batcher:
 
             def client(requests: list[np.ndarray]) -> None:
                 own: list[float] = []
@@ -171,7 +167,7 @@ def _drive(
     }
 
 
-def test_serving_microbatch_vs_sequential():
+def test_serving_microbatch_vs_sequential(artifact_dir):
     model = _fit_model()
     payload: dict = {
         "series_length": SERIES_LENGTH,
@@ -183,10 +179,10 @@ def test_serving_microbatch_vs_sequential():
     # --- online traffic (hot/cold mix) ----------------------------------
     schedule = _request_schedule(HOT_FRACTION)
     sequential = _drive(
-        model, schedule, max_batch_size=1, max_wait_ms=0.0, feature_cache_size=0
+        model, schedule, max_batch_size=1, feature_cache_size=0
     )
     microbatch = _drive(
-        model, schedule, max_batch_size=32, max_wait_ms=25.0, feature_cache_size=1024
+        model, schedule, max_batch_size=32, feature_cache_size=1024
     )
     speedup = microbatch["throughput_rps"] / sequential["throughput_rps"]
     payload["online_traffic"] = {
@@ -200,10 +196,10 @@ def test_serving_microbatch_vs_sequential():
     # --- cold unique series (pure coalescing, no cache reuse) -----------
     cold_schedule = _request_schedule(hot_fraction=0.0)
     cold_sequential = _drive(
-        model, cold_schedule, max_batch_size=1, max_wait_ms=0.0, feature_cache_size=0
+        model, cold_schedule, max_batch_size=1, feature_cache_size=0
     )
     cold_microbatch = _drive(
-        model, cold_schedule, max_batch_size=32, max_wait_ms=25.0, feature_cache_size=0
+        model, cold_schedule, max_batch_size=32, feature_cache_size=0
     )
     payload["cold_unique"] = {
         "sequential": cold_sequential,
@@ -213,7 +209,7 @@ def test_serving_microbatch_vs_sequential():
         ),
     }
 
-    _merge_results(payload)
+    merge_json(artifact_dir, "BENCH_serving", payload)
 
     if not SMOKE:
         # Micro-batching coalesced concurrent requests into real batches...
@@ -222,20 +218,6 @@ def test_serving_microbatch_vs_sequential():
         assert speedup >= SERVING_SPEEDUP_FLOOR, payload["online_traffic"]
 
 
-def _merge_results(payload: dict) -> None:
-    """Fold this run's sections into results/BENCH_serving.json (the two
-    bench tests write disjoint keys, in either order)."""
-    path = results_dir() / "BENCH_serving.json"
-    merged: dict = {}
-    if path.exists():
-        try:
-            merged = json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError):
-            merged = {}
-    merged.update(payload)
-    rendered = json.dumps(merged, indent=1, sort_keys=True)
-    path.write_text(rendered + "\n")
-    emit("BENCH_serving", rendered)
 
 
 # -- front end: keep-alive vs connection churn --------------------------------
@@ -272,7 +254,7 @@ def _run_client_process(spec_path, port: int) -> dict:
     return json.loads(proc.stdout)
 
 
-def test_serving_frontend_churn_vs_keep_alive(tmp_path):
+def test_serving_frontend_churn_vs_keep_alive(tmp_path, artifact_dir):
     """64 concurrent connections of hot-cache classify traffic, two
     regimes over the same server:
 
@@ -314,7 +296,7 @@ def test_serving_frontend_churn_vs_keep_alive(tmp_path):
         # slowdown of the shared CPU taxes both instead of biasing
         # whichever was measured then; per regime the best round is
         # kept (capability measurement on a noisy box).
-        server = create_async_server(store, port=0, max_wait_ms=5.0)
+        server = create_async_server(store, port=0)
         try:
             _, port = server.start_background()
             best: dict = {}
@@ -358,7 +340,7 @@ def test_serving_frontend_churn_vs_keep_alive(tmp_path):
             "churn_to_keep_alive": churn_ratio(best),
         }
     }
-    _merge_results(payload)
+    merge_json(artifact_dir, "BENCH_serving", payload)
 
     frontends = payload["frontends"]
     for regime in ("keep_alive", "connection_churn"):

@@ -1,5 +1,5 @@
 """Session-scale benchmark for the streaming tier, recorded as
-``results/BENCH_sessions.json``.
+``BENCH_sessions.json``.
 
 The question PR 10's slab/DRR rebuild answers: how many concurrent
 stream sessions does one CPU sustain, and what does a tick cost at that
@@ -28,17 +28,15 @@ Run with ``pytest benchmarks/test_sessions.py -m bench``.
 
 from __future__ import annotations
 
-import json
 import resource
 import time
 
 import numpy as np
 import pytest
-from _bench_utils import SMOKE, emit, pick
+from _bench_utils import SMOKE, merge_json, pick
 
 from repro.baselines.nn import NearestNeighborEuclidean
 from repro.core.slab import SlabPool
-from repro.experiments.harness import results_dir
 from repro.serve import InferenceEngine, StreamScheduler, StreamSession
 
 pytestmark = pytest.mark.bench
@@ -84,7 +82,7 @@ def _probe_p95_ms(scheduler, sessions, probes: int, rng) -> dict[str, float]:
     }
 
 
-def test_sessions_1k_sustained_throughput_and_latency():
+def test_sessions_1k_sustained_throughput_and_latency(artifact_dir):
     n_sessions = pick(1000, 32)
     ticks_per_round = pick(16, 4)
     rounds = pick(4, 1)
@@ -148,7 +146,7 @@ def test_sessions_1k_sustained_throughput_and_latency():
         for session in sessions:
             session.close()
         assert pool.stats()["rows_in_use"] == 0
-        _merge_results({"sustained_1k": section})
+        merge_json(artifact_dir, "BENCH_sessions", {"sustained_1k": section})
         if not SMOKE:
             assert sessions_per_cpu >= SESSIONS_PER_CPU_FLOOR, section
             assert probe["p95_ms"] <= P95_TICK_MS_CEILING, section
@@ -157,7 +155,7 @@ def test_sessions_1k_sustained_throughput_and_latency():
         engine.close()
 
 
-def test_sessions_10k_memory_bounded_churn():
+def test_sessions_10k_memory_bounded_churn(artifact_dir):
     n_sessions = pick(10_000, 64)
     rng = np.random.default_rng(3)
 
@@ -222,23 +220,7 @@ def test_sessions_10k_memory_bounded_churn():
         for session in live:
             session.close()
         assert pool.stats()["rows_in_use"] == 0
-        _merge_results({"memory_bounded_10k": section})
+        merge_json(artifact_dir, "BENCH_sessions", {"memory_bounded_10k": section})
     finally:
         scheduler.close()
         engine.close()
-
-
-def _merge_results(payload: dict) -> None:
-    """Fold this run's sections into results/BENCH_sessions.json (the
-    bench tests write disjoint keys, in either order)."""
-    path = results_dir() / "BENCH_sessions.json"
-    merged: dict = {}
-    if path.exists():
-        try:
-            merged = json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError):
-            merged = {}
-    merged.update(payload)
-    rendered = json.dumps(merged, indent=1, sort_keys=True)
-    path.write_text(rendered + "\n")
-    emit("BENCH_sessions", rendered)

@@ -1,5 +1,5 @@
 """Streaming benchmark: incremental sliding-window maintenance vs
-per-tick rebuild, recorded as ``results/BENCH_streaming.json``.
+per-tick rebuild, recorded as ``BENCH_streaming.json``.
 
 The workload is the streaming acceptance scenario: a sliding window of
 ``n = 1024`` points advancing one point per tick (stride 1) over a
@@ -29,17 +29,15 @@ Run with ``pytest benchmarks/test_streaming.py -m bench``.
 
 from __future__ import annotations
 
-import json
 import time
 
 import numpy as np
 import pytest
-from _bench_utils import SMOKE, emit, pick
+from _bench_utils import SMOKE, merge_json, pick
 
 from repro.core.config import FeatureConfig
 from repro.core.features import extract_feature_vector
 from repro.core.streaming import StreamingFeatureExtractor
-from repro.experiments.harness import results_dir
 from repro.graph.fast import visibility_graphs
 from repro.graph.incremental import SlidingGraphWindow
 
@@ -75,7 +73,7 @@ def _per_tick(fn, stream: np.ndarray, warm_ticks: int, ticks: int, rounds: int) 
     return best
 
 
-def test_streaming_graph_maintenance_vs_rebuild():
+def test_streaming_graph_maintenance_vs_rebuild(artifact_dir):
     stream = _random_walk(WINDOW + (ROUNDS + 1) * TICKS)
 
     # Incremental: one sliding pair, warmed over the first window, then
@@ -117,12 +115,12 @@ def test_streaming_graph_maintenance_vs_rebuild():
             "speedup": round(speedup, 2),
         },
     }
-    _merge_results(payload)
+    merge_json(artifact_dir, "BENCH_streaming", payload)
     if not SMOKE:
         assert speedup >= STREAMING_SPEEDUP_FLOOR, payload["graph_maintenance"]
 
 
-def test_streaming_feature_pipeline():
+def test_streaming_feature_pipeline(artifact_dir):
     config = FeatureConfig()
     window = pick(1024, 64)
     ticks = pick(64, 4)
@@ -186,22 +184,6 @@ def test_streaming_feature_pipeline():
         "phase_metrics_ms_per_tick",
     ):
         assert field in section and isinstance(section[field], float)
-    _merge_results({"feature_pipeline": section})
+    merge_json(artifact_dir, "BENCH_streaming", {"feature_pipeline": section})
     if not SMOKE:
         assert speedup >= FEATURE_SPEEDUP_FLOOR, section
-
-
-def _merge_results(payload: dict) -> None:
-    """Fold this run's sections into results/BENCH_streaming.json (the
-    bench tests write disjoint keys, in either order)."""
-    path = results_dir() / "BENCH_streaming.json"
-    merged: dict = {}
-    if path.exists():
-        try:
-            merged = json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError):
-            merged = {}
-    merged.update(payload)
-    rendered = json.dumps(merged, indent=1, sort_keys=True)
-    path.write_text(rendered + "\n")
-    emit("BENCH_streaming", rendered)

@@ -15,11 +15,11 @@ import pytest
 pytestmark = pytest.mark.bench
 
 
-def test_table2(benchmark):
+def test_table2(benchmark, artifact_dir):
     payload = benchmark.pedantic(run_table2, rounds=1, iterations=1)
     assert set(payload["errors"]) == set(METHODS)
     n = len(payload["datasets"])
     assert all(len(v) == n for v in payload["errors"].values())
     text = render_table2(payload)
-    emit("table2", text)
+    emit(artifact_dir, "table2", text)
     benchmark.extra_info["n_datasets"] = n

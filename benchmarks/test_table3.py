@@ -13,11 +13,11 @@ import pytest
 pytestmark = pytest.mark.bench
 
 
-def test_table3(benchmark):
+def test_table3(benchmark, artifact_dir):
     payload = benchmark.pedantic(run_table3, rounds=1, iterations=1)
     assert set(payload["errors"]) == set(METHODS)
     text = render_table3(payload)
-    emit("table3", text)
+    emit(artifact_dir, "table3", text)
     mvg_total = float(np.sum(payload["mvg_fe"]) + np.sum(payload["mvg_clf"]))
     fs_total = float(np.sum(payload["fs_runtime"]))
     benchmark.extra_info["mvg_total_seconds"] = round(mvg_total, 1)

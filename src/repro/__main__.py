@@ -551,6 +551,12 @@ def _cmd_serve(args: argparse.Namespace, pipeline_config=None) -> int:
             "serving on the asyncio front end",
             file=sys.stderr,
         )
+    if args.max_wait_ms is not None:
+        print(
+            "warning: --max-wait-ms is deprecated and ignored; "
+            "the micro-batcher takes whatever is queued without a timer",
+            file=sys.stderr,
+        )
     if args.max_sessions < 1:
         raise SystemExit(f"--max-sessions must be >= 1, got {args.max_sessions}")
     if args.stream_buffer is not None and args.stream_buffer < 1:
@@ -574,7 +580,6 @@ def _cmd_serve(args: argparse.Namespace, pipeline_config=None) -> int:
     options = dict(
         default_model=args.model,
         max_batch_size=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         feature_cache_size=args.feature_cache_size,
         jobs=args.jobs,
         reload_interval_seconds=args.reload_interval,
@@ -597,7 +602,7 @@ def _cmd_serve(args: argparse.Namespace, pipeline_config=None) -> int:
         "  POST /v1/classify   POST /v1/batch   POST /v1/stream   "
         "GET /v1/models   GET /v1/runs   GET /healthz   GET /metrics"
     )
-    print(f"  micro-batching: up to {args.max_batch} requests / {args.max_wait_ms}ms window")
+    print(f"  micro-batching: up to {args.max_batch} queued requests per batch")
     print(
         f"  streaming: up to {args.max_sessions} sessions, "
         f"{server.state.stream_buffer_points} queued points/session "
@@ -1015,9 +1020,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--max-wait-ms",
             type=float,
-            default=5.0,
+            default=None,
             metavar="MS",
-            help="micro-batch coalescing window in milliseconds (default 5)",
+            help="deprecated and ignored: the micro-batcher has no linger window",
         )
         sub.add_argument(
             "--feature-cache-size",

@@ -41,6 +41,7 @@ from http.client import responses as _REASON_PHRASES
 from time import perf_counter
 from typing import Any, Callable
 
+from repro.serve.engine import warn_max_wait_ms_ignored
 from repro.serve.http import (
     REQUEST_TIMEOUT_SECONDS,
     ApiError,
@@ -536,7 +537,7 @@ def create_async_server(
     port: int = 8765,
     default_model: str | None = None,
     max_batch_size: int = 32,
-    max_wait_ms: float = 5.0,
+    max_wait_ms: float | None = None,
     feature_cache_size: int = 1024,
     jobs: int | None = None,
     reload_interval_seconds: float = 0.0,
@@ -547,14 +548,17 @@ def create_async_server(
     """An :class:`AsyncInferenceServer` over a fresh shared state
     (``port=0`` picks a free port, bound address in
     ``server.server_address`` once started).  The remaining knobs are
-    :func:`~repro.serve.http.build_server_state`'s."""
+    :func:`~repro.serve.http.build_server_state`'s; ``max_wait_ms`` is
+    deprecated and ignored, and passing it warns."""
     from repro.serve.stream import DEFAULT_MAX_SESSION_BUFFER
+
+    if max_wait_ms is not None:
+        warn_max_wait_ms_ignored()
 
     state = build_server_state(
         store,
         default_model=default_model,
         max_batch_size=max_batch_size,
-        max_wait_ms=max_wait_ms,
         feature_cache_size=feature_cache_size,
         jobs=jobs,
         reload_interval_seconds=reload_interval_seconds,

@@ -12,19 +12,22 @@ estimators (baselines, pipelines) are served through their ordinary
 batch ``predict``.
 
 :class:`MicroBatcher` sits in front of an engine and coalesces
-concurrent single-series requests into one batched
-``classify_batch`` call: the first request in an empty queue waits at
-most ``max_wait_ms`` for company, then the whole batch (up to
-``max_batch_size``) pays one feature-extraction pass — which is exactly
-the lever :class:`~repro.core.batch.BatchFeatureExtractor` optimises.
-HTTP handler threads block on a :class:`~concurrent.futures.Future`
-per request, so slow extraction never stalls the accept loop.
+concurrent single-series requests into one batched ``classify_batch``
+call.  It is a greedy drain with no timer: the worker sleeps until a
+request is queued, then takes everything waiting (up to
+``max_batch_size``) at once.  Batches form exactly when they can help —
+requests queue up while the worker is busy with the previous batch —
+and a request that arrives to an idle worker starts at once.  Each
+batch pays one feature-extraction pass, which is the lever
+:class:`~repro.core.batch.BatchFeatureExtractor` optimises.  Callers
+wait on a :class:`~concurrent.futures.Future` per request, so slow
+extraction never stalls the accept loop.
 """
 
 from __future__ import annotations
 
 import threading
-import time
+import warnings
 from collections import OrderedDict
 from concurrent.futures import Future
 from typing import Any, Sequence
@@ -86,14 +89,15 @@ class InferenceEngine:
     -------------
     All public methods are safe to call from any thread: the feature
     LRU, the extractor handle, and the request counters live under one
-    internal ``_lock`` (see ``_GUARDED_BY``).  Model ``predict`` calls
-    and feature extraction run *outside* the lock, so classifications
-    proceed concurrently; only cache bookkeeping serialises.  One
-    engine is typically shared by a :class:`MicroBatcher`, the stream
-    scheduler worker, and HTTP handler threads simultaneously.
-    :meth:`close` is idempotent and safe to race with in-flight
-    ``classify`` calls — the extractor pool is swapped out under the
-    lock before being torn down.
+    internal ``_lock`` (see ``_GUARDED_BY``).  :meth:`classify_batch`
+    and :meth:`classify_stream` hold that lock for the whole call —
+    cache lookups, feature extraction and model predict — so
+    classifications on one engine run one at a time; input validation
+    is the only work done outside it.  One engine is typically shared
+    by a :class:`MicroBatcher` and the stream scheduler worker.
+    :meth:`close` is idempotent and relies on the same lock: it waits
+    for an in-flight batch to finish before tearing down the
+    extraction pool.
     """
 
     # Shared mutable state and the lock that guards it — enforced by
@@ -337,6 +341,17 @@ class InferenceEngine:
         return results  # type: ignore[return-value]
 
 
+def warn_max_wait_ms_ignored() -> None:
+    """The one deprecation warning for the retired linger window,
+    attributed to whoever called the function that calls this."""
+    warnings.warn(
+        "max_wait_ms is deprecated and ignored: the micro-batcher takes "
+        "whatever is queued without waiting on a timer",
+        DeprecationWarning,
+        stacklevel=3,
+    )
+
+
 class MicroBatcher:
     """Coalesce concurrent ``classify`` requests into engine batches.
 
@@ -345,11 +360,17 @@ class MicroBatcher:
     engine:
         The :class:`InferenceEngine` handling the batched calls.
     max_batch_size:
-        Upper bound on requests per engine call.
+        Upper bound on requests per engine call; bounds the memory one
+        batch holds.
     max_wait_ms:
-        How long the first request in an empty queue waits for
-        companions before the batch is dispatched anyway.  The
-        worst-case added latency under light load.
+        Deprecated and ignored: the worker no longer lingers for
+        companions.  Passing it emits a :class:`DeprecationWarning`.
+
+    The worker never waits on a timer.  It sleeps until the queue is
+    non-empty and then dispatches up to ``max_batch_size`` queued
+    requests as one batch, so a lone request pays no added latency and
+    a burst that arrives while a batch is running becomes the next
+    batch.
 
     Thread safety
     -------------
@@ -378,15 +399,14 @@ class MicroBatcher:
         self,
         engine: InferenceEngine,
         max_batch_size: int = 32,
-        max_wait_ms: float = 5.0,
+        max_wait_ms: float | None = None,
     ):
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
+        if max_wait_ms is not None:
+            warn_max_wait_ms_ignored()
         self.engine = engine
         self.max_batch_size = int(max_batch_size)
-        self.max_wait_ms = float(max_wait_ms)
         self._queue: list[tuple[Any, Future]] = []
         self._mutex = threading.Lock()
         self._wakeup = threading.Condition(self._mutex)
@@ -436,20 +456,13 @@ class MicroBatcher:
 
     # -- worker side -------------------------------------------------------
     def _take_batch(self) -> list[tuple[Any, Future]]:
-        """Block until work exists, linger ``max_wait_ms`` to fill up."""
+        """Block until work exists, then take what is queued (no timer).
+
+        Empty only once the batcher is closed and drained.
+        """
         with self._mutex:
             while not self._queue and not self._closed:
                 self._wakeup.wait()
-            if not self._queue:
-                return []
-            deadline = time.monotonic() + self.max_wait_ms / 1000.0
-            while (
-                len(self._queue) < self.max_batch_size
-                and not self._closed
-            ):
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not self._wakeup.wait(timeout=remaining):
-                    break
             batch = self._queue[: self.max_batch_size]
             del self._queue[: self.max_batch_size]
             return batch
@@ -458,10 +471,7 @@ class MicroBatcher:
         while True:
             batch = self._take_batch()
             if not batch:
-                with self._mutex:
-                    if self._closed and not self._queue:
-                        return
-                continue
+                return
             self.batches_dispatched_ += 1
             self.largest_batch_ = max(self.largest_batch_, len(batch))
             self.batch_size_counts_[len(batch)] = (
@@ -484,15 +494,24 @@ class MicroBatcher:
                 future.set_result(result)
 
     def stats(self) -> dict[str, Any]:
-        """Dispatch counters (batch sizes are the micro-batching win)."""
+        """Dispatch counters (batch sizes are the micro-batching win).
+
+        ``mean_batch_size`` is taken from the dispatched batch sizes,
+        not from requests accepted: requests still queued belong to no
+        batch yet.
+        """
         with self._mutex:
             accepted = self.requests_accepted_
-        dispatched = self.batches_dispatched_
+        counts = dict(self.batch_size_counts_)
+        batches = sum(counts.values())
+        requests = sum(size * n for size, n in counts.items())
         return {
             "requests_accepted": accepted,
-            "batches_dispatched": dispatched,
+            "batches_dispatched": batches,
             "largest_batch": self.largest_batch_,
-            "mean_batch_size": round(accepted / dispatched, 3) if dispatched else 0.0,
+            "mean_batch_size": round(requests / batches, 3) if batches else 0.0,
             "max_batch_size": self.max_batch_size,
-            "max_wait_ms": self.max_wait_ms,
+            # Deprecated field, fixed at 0 (there is no linger) until the
+            # deprecated max_wait_ms names are removed.
+            "max_wait_ms": 0,
         }

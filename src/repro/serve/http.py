@@ -63,7 +63,12 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.core.slab import SlabPool
-from repro.serve.engine import ClassifyResult, InferenceEngine, MicroBatcher
+from repro.serve.engine import (
+    ClassifyResult,
+    InferenceEngine,
+    MicroBatcher,
+    warn_max_wait_ms_ignored,
+)
 from repro.serve.metrics import (
     ServingMetrics,
     render_family,
@@ -298,7 +303,6 @@ class ServerState:
         store: ModelStore,
         default_model: str | None = None,
         max_batch_size: int = 32,
-        max_wait_ms: float = 5.0,
         feature_cache_size: int = 1024,
         jobs: int | None = None,
         drain_grace_seconds: float = 1.0,
@@ -310,7 +314,6 @@ class ServerState:
         self.store = store
         self.default_model = default_model
         self.max_batch_size = max_batch_size
-        self.max_wait_ms = max_wait_ms
         self.feature_cache_size = feature_cache_size
         self.jobs = jobs
         self.started_at = time.time()
@@ -435,11 +438,7 @@ class ServerState:
                     version=version,
                     feature_cache_size=self.feature_cache_size,
                 )
-                batcher = MicroBatcher(
-                    engine,
-                    max_batch_size=self.max_batch_size,
-                    max_wait_ms=self.max_wait_ms,
-                )
+                batcher = MicroBatcher(engine, max_batch_size=self.max_batch_size)
                 pair = (engine, batcher)
                 self._loaded[key] = pair
         return pair
@@ -1370,7 +1369,7 @@ def build_server_state(
     store: ModelStore | str,
     default_model: str | None = None,
     max_batch_size: int = 32,
-    max_wait_ms: float = 5.0,
+    max_wait_ms: float | None = None,
     feature_cache_size: int = 1024,
     jobs: int | None = None,
     reload_interval_seconds: float = 0.0,
@@ -1385,8 +1384,11 @@ def build_server_state(
     at one second).  ``max_stream_sessions`` caps concurrent stream
     sessions (429 at create); ``stream_buffer_points`` caps each
     session's queued-but-unprocessed points (429 + ``Retry-After`` on
-    append).
+    append).  ``max_wait_ms`` is deprecated and ignored (the
+    micro-batcher has no linger window); passing it warns.
     """
+    if max_wait_ms is not None:
+        warn_max_wait_ms_ignored()
     if not isinstance(store, ModelStore):
         store = ModelStore(store)
     if drain_grace_seconds is None:
@@ -1395,7 +1397,6 @@ def build_server_state(
         store,
         default_model=default_model,
         max_batch_size=max_batch_size,
-        max_wait_ms=max_wait_ms,
         feature_cache_size=feature_cache_size,
         jobs=jobs,
         drain_grace_seconds=drain_grace_seconds,

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import contextlib
+import threading
 
 import numpy as np
 import pytest
 
-from repro.serve import create_async_server
+from repro.serve import InferenceEngine, create_async_server
 
 
 @contextlib.contextmanager
@@ -30,6 +31,39 @@ def serve():
     """``with serve(store, **options) as server:`` starts and stops one
     server; its port is ``server.server_address[1]``."""
     return _running_server
+
+
+class ClassifyGate:
+    """Holds every ``InferenceEngine.classify_batch`` call until
+    :meth:`release`.  ``entered`` is set once a call is being held, so a
+    test knows a batch is in flight before it queues more work."""
+
+    def __init__(self) -> None:
+        self.entered = threading.Event()
+        self._open = threading.Event()
+
+    def release(self) -> None:
+        self._open.set()
+
+    def wait_open(self) -> None:
+        self.entered.set()
+        self._open.wait(timeout=60)
+
+
+@pytest.fixture
+def classify_gate(monkeypatch):
+    """A :class:`ClassifyGate` patched into every engine for one test;
+    released at teardown so nothing stays blocked."""
+    gate = ClassifyGate()
+    real = InferenceEngine.classify_batch
+
+    def gated(engine, batch):
+        gate.wait_open()
+        return real(engine, batch)
+
+    monkeypatch.setattr(InferenceEngine, "classify_batch", gated)
+    yield gate
+    gate.release()
 
 
 @pytest.fixture

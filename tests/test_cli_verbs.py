@@ -626,6 +626,14 @@ class TestServeStreamKnobs:
             main(["serve", "--store", "unused", "--loop", loop, "--max-sessions", "0"])
         assert ("--loop threads is deprecated" in capsys.readouterr().err) is warned
 
+    @pytest.mark.parametrize("verb", ["serve", "pipeline"])
+    @pytest.mark.parametrize("extra, warned", [(["--max-wait-ms", "5"], True), ([], False)])
+    def test_deprecated_max_wait_ms_flag_still_parses(self, capsys, verb, extra, warned):
+        with pytest.raises(SystemExit, match="max-sessions must be >= 1"):
+            main([verb, "--store", "unused", *extra, "--max-sessions", "0"])
+        err = capsys.readouterr().err
+        assert ("warning: --max-wait-ms is deprecated and ignored" in err) is warned
+
 
 class TestPipelineVerb:
     def test_requires_hot_reload(self):

@@ -288,7 +288,6 @@ def live(tmp_path, serve):
         store,
         pipeline=PipelineController(store, config),
         default_model="nn",
-        max_wait_ms=1.0,
         reload_interval_seconds=0.2,
     ) as server:
         yield {"port": server.server_address[1], "state": server.state, "store": store}

@@ -73,7 +73,7 @@ def served(tmp_path, serve):
     store = _make_store(tmp_path)
     controller = PipelineController(store, _pipeline_config())
     with serve(
-        store, pipeline=controller, default_model="nn", max_wait_ms=1.0
+        store, pipeline=controller, default_model="nn"
     ) as server:
         yield {"port": server.server_address[1], "state": server.state}
 
@@ -81,7 +81,7 @@ def served(tmp_path, serve):
 @pytest.fixture
 def plain(tmp_path, serve):
     """The same server with NO pipeline attached."""
-    with serve(_make_store(tmp_path), default_model="nn", max_wait_ms=1.0) as server:
+    with serve(_make_store(tmp_path), default_model="nn") as server:
         yield {"port": server.server_address[1]}
 
 
@@ -158,7 +158,7 @@ class TestWatcherErrorAccounting:
         manifest = store.manifest_path
         original = manifest.read_bytes()
         with serve(
-            store, default_model="nn", max_wait_ms=1.0, reload_interval_seconds=0.05
+            store, default_model="nn", reload_interval_seconds=0.05
         ) as server:
             port = server.server_address[1]
             watcher = server.state._watcher

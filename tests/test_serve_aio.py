@@ -38,7 +38,7 @@ def served(tmp_path_factory, serve):
     store = ModelStore(tmp_path_factory.mktemp("store"))
     store.save(mvg, "mvg", metadata={"dataset": "synthetic"})
 
-    with serve(store, default_model="mvg", max_wait_ms=2.0) as server:
+    with serve(store, default_model="mvg") as server:
         yield {
             "port": server.server_address[1],
             "store": store,
@@ -138,7 +138,7 @@ class TestHotReload:
         nn = NearestNeighborEuclidean().fit(X, y)
         store = ModelStore(tmp_path / "store")
         store.save(nn, "m")
-        server = create_async_server(store, port=0, max_wait_ms=1.0)
+        server = create_async_server(store, port=0)
         _, port = server.start_background()
         try:
             _, payload = _post(port, "/v1/classify", {"series": X[0].tolist()})

@@ -2,12 +2,15 @@
 coalescing and failure isolation."""
 
 import threading
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.core.pipeline import MVGClassifier
+from repro.serve import ModelStore, create_async_server
 from repro.serve.engine import InferenceEngine, MicroBatcher
+from repro.serve.http import build_server_state
 
 
 @pytest.fixture(scope="module")
@@ -99,14 +102,19 @@ class TestInferenceEngine:
         with pytest.raises(ValueError, match="training length"):
             engine.classify(X_test[0][:48])
 
-    def test_wrong_length_does_not_fail_batchmates(self, mvg_setup, engine):
+    def test_wrong_length_does_not_fail_batchmates(
+        self, mvg_setup, engine, classify_gate
+    ):
         _, X_test = mvg_setup
-        with MicroBatcher(engine, max_batch_size=8, max_wait_ms=250) as batcher:
+        with MicroBatcher(engine, max_batch_size=8) as batcher:
+            _hold_first_batch(batcher, classify_gate, X_test[2])
             good = batcher.submit(X_test[0])
             bad = batcher.submit(X_test[1][:48])
+            classify_gate.release()
             assert good.result(timeout=60)[0] is not None
             with pytest.raises(ValueError):
                 bad.result(timeout=60)
+            assert batcher.stats()["largest_batch"] == 2
 
     @pytest.mark.parametrize(
         "bad", [[[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0], [1.0, np.nan, 2.0, 3.0], []]
@@ -242,36 +250,86 @@ class TestFeatureLRUOrder:
                 )
 
 
+def _hold_first_batch(batcher, gate, series):
+    """Dispatch one request and hold it inside the engine, so everything
+    submitted next queues up behind it as the following batch."""
+    first = batcher.submit(series)
+    assert gate.entered.wait(timeout=60)
+    return first
+
+
 class TestMicroBatcher:
     def test_results_match_engine(self, mvg_setup, engine):
         model, X_test = mvg_setup
         offline = model.predict(X_test)
-        with MicroBatcher(engine, max_batch_size=4, max_wait_ms=5) as batcher:
+        with MicroBatcher(engine, max_batch_size=4) as batcher:
             futures = [batcher.submit(s) for s in X_test]
             labels = [f.result(timeout=60)[0] for f in futures]
         assert labels == list(offline)
 
-    def test_coalesces_a_burst(self, mvg_setup, engine):
+    def test_coalesces_a_burst(self, mvg_setup, engine, classify_gate):
+        # Requests that arrive while a batch is in the engine become the
+        # next batch, whole: no timer decides how many wait together.
+        model, X_test = mvg_setup
+        burst = 8
+        with MicroBatcher(engine, max_batch_size=16) as batcher:
+            first = _hold_first_batch(batcher, classify_gate, X_test[0])
+            futures = [batcher.submit(X_test[1 + i]) for i in range(burst)]
+            classify_gate.release()
+            labels = [f.result(timeout=60)[0] for f in [first, *futures]]
+            stats = batcher.stats()
+        assert stats["requests_accepted"] == burst + 1
+        assert stats["batches_dispatched"] == 2
+        assert stats["largest_batch"] == burst
+        assert labels == list(model.predict(X_test[: burst + 1]))
+
+    def test_burst_is_capped_at_max_batch_size(self, mvg_setup, engine, classify_gate):
         _, X_test = mvg_setup
-        with MicroBatcher(engine, max_batch_size=16, max_wait_ms=250) as batcher:
-            futures = [batcher.submit(X_test[i % len(X_test)]) for i in range(8)]
-            for future in futures:
+        with MicroBatcher(engine, max_batch_size=3) as batcher:
+            first = _hold_first_batch(batcher, classify_gate, X_test[0])
+            futures = [batcher.submit(X_test[1 + i]) for i in range(7)]
+            classify_gate.release()
+            for future in [first, *futures]:
                 future.result(timeout=60)
             stats = batcher.stats()
-        assert stats["requests_accepted"] == 8
-        assert stats["batches_dispatched"] < 8
-        assert stats["largest_batch"] > 1
+        # 1 held, then the 7 queued drain as 3 + 3 + 1.
+        assert stats["batches_dispatched"] == 4
+        assert stats["largest_batch"] == 3
 
-    def test_one_bad_series_does_not_fail_batchmates(self, mvg_setup, engine):
+    def test_mean_batch_size_excludes_queued_requests(
+        self, mvg_setup, engine, classify_gate
+    ):
         _, X_test = mvg_setup
-        with MicroBatcher(engine, max_batch_size=8, max_wait_ms=250) as batcher:
+        queued = 5
+        with MicroBatcher(engine, max_batch_size=16) as batcher:
+            first = _hold_first_batch(batcher, classify_gate, X_test[0])
+            futures = [batcher.submit(X_test[1 + i]) for i in range(queued)]
+            held = batcher.stats()
+            classify_gate.release()
+            for future in [first, *futures]:
+                future.result(timeout=60)
+            drained = batcher.stats()
+        assert held["requests_accepted"] == queued + 1
+        assert held["batches_dispatched"] == 1
+        assert held["mean_batch_size"] == 1.0
+        assert drained["batches_dispatched"] == 2
+        assert drained["mean_batch_size"] == (queued + 1) / 2
+
+    def test_one_bad_series_does_not_fail_batchmates(
+        self, mvg_setup, engine, classify_gate
+    ):
+        _, X_test = mvg_setup
+        with MicroBatcher(engine, max_batch_size=8) as batcher:
+            _hold_first_batch(batcher, classify_gate, X_test[2])
             good = batcher.submit(X_test[0])
             bad = batcher.submit([1.0, np.nan, 2.0, 3.0])
             good2 = batcher.submit(X_test[1])
+            classify_gate.release()
             assert good.result(timeout=60)[0] is not None
             assert good2.result(timeout=60)[0] is not None
             with pytest.raises(ValueError):
                 bad.result(timeout=60)
+            assert batcher.stats()["largest_batch"] == 3
 
     def test_submit_after_close_raises(self, engine):
         batcher = MicroBatcher(engine)
@@ -286,7 +344,7 @@ class TestMicroBatcher:
 
     def test_queued_requests_complete_on_close(self, mvg_setup, engine):
         _, X_test = mvg_setup
-        batcher = MicroBatcher(engine, max_batch_size=2, max_wait_ms=50)
+        batcher = MicroBatcher(engine, max_batch_size=2)
         futures = [batcher.submit(s) for s in X_test[:6]]
         batcher.close()
         assert all(f.result(timeout=60)[0] is not None for f in futures)
@@ -294,8 +352,21 @@ class TestMicroBatcher:
     def test_invalid_parameters(self, engine):
         with pytest.raises(ValueError):
             MicroBatcher(engine, max_batch_size=0)
-        with pytest.raises(ValueError):
-            MicroBatcher(engine, max_wait_ms=-1)
+
+    def test_max_wait_ms_is_deprecated_and_ignored(self, engine, tmp_path):
+        with pytest.warns(DeprecationWarning, match="max_wait_ms is deprecated"):
+            batcher = MicroBatcher(engine, max_wait_ms=250)
+        with batcher:
+            assert batcher.stats()["max_wait_ms"] == 0
+        store = ModelStore(tmp_path / "store")
+        with pytest.warns(DeprecationWarning, match="max_wait_ms is deprecated"):
+            build_server_state(store, max_wait_ms=5.0).close()
+        with pytest.warns(DeprecationWarning, match="max_wait_ms is deprecated"):
+            create_async_server(store, port=0, max_wait_ms=5.0).close()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            MicroBatcher(engine).close()
+            create_async_server(store, port=0).close()
 
     def test_concurrent_clients(self, mvg_setup, engine):
         model, X_test = mvg_setup
@@ -309,7 +380,7 @@ class TestMicroBatcher:
             except Exception as exc:  # pragma: no cover — surfaced below
                 errors.append(exc)
 
-        with MicroBatcher(engine, max_batch_size=8, max_wait_ms=10) as batcher:
+        with MicroBatcher(engine, max_batch_size=8) as batcher:
             threads = [
                 threading.Thread(target=client, args=([i, (i + 3) % 12, (i + 7) % 12],))
                 for i in range(6)

@@ -44,7 +44,7 @@ def served(tmp_path_factory, serve):
     store.save(mvg, "mvg", metadata={"dataset": "synthetic"})
     store.save(nn, "nn")
 
-    with serve(store, default_model="mvg", max_wait_ms=2.0) as server:
+    with serve(store, default_model="mvg") as server:
         yield {
             "port": server.server_address[1],
             "store": store,
@@ -529,23 +529,25 @@ class TestMetricsEndpoint:
         # Exactly one family header even with several loaded engines.
         assert text.count("# TYPE repro_serve_batch_size histogram") == 1
 
-    def test_client_disconnect_mid_classify_is_499(self, served, serve):
-        # The client resets its connection while the request lingers in
-        # the micro-batcher: the response is never delivered, so the
-        # scrape must count a 499, not the route's 200.
+    def test_client_disconnect_mid_classify_is_499(self, served, serve, classify_gate):
+        # The client resets its connection while its request is held in
+        # the engine: the response is never delivered, so the scrape
+        # must count a 499, not the route's 200.
         body = json.dumps({"series": served["X_test"][0].tolist()}).encode()
         request = (
             b"POST /v1/classify HTTP/1.1\r\nHost: t\r\n"
             b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n" + body
         )
-        with serve(served["store"], default_model="nn", max_wait_ms=500.0) as server:
+        with serve(served["store"], default_model="nn") as server:
             port = server.server_address[1]
             sock = socket.create_connection(("127.0.0.1", port), timeout=30)
             sock.sendall(request)
-            time.sleep(0.1)
+            assert classify_gate.entered.wait(timeout=30)
             # SO_LINGER 0: close() sends a reset instead of a FIN.
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
             sock.close()
+            time.sleep(0.1)
+            classify_gate.release()
             line = re.compile(
                 r'^repro_serve_requests_total\{route="/v1/classify",method="POST",'
                 r'status="(\d+)"\} (\d+)$',
@@ -590,7 +592,7 @@ class TestHotReload:
         nn = NearestNeighborEuclidean().fit(X, y)
         store = ModelStore(tmp_path / "store")
         store.save(nn, "m")
-        with serve(store, max_wait_ms=1.0, drain_grace_seconds=0.0) as server:
+        with serve(store, drain_grace_seconds=0.0) as server:
             yield {
                 "port": server.server_address[1],
                 "store": store,
@@ -652,7 +654,7 @@ class TestHotReload:
         nn = NearestNeighborEuclidean().fit(X, y)
         store = ModelStore(tmp_path / "store")
         store.save(nn, "m")
-        with serve(store, max_wait_ms=1.0, reload_interval_seconds=0.05) as server:
+        with serve(store, reload_interval_seconds=0.05) as server:
             port = server.server_address[1]
             _, payload = _post(port, "/v1/classify", {"series": X[0].tolist()})
             assert payload["version"] == 1
@@ -702,7 +704,6 @@ class TestHotReload:
 
         with serve(
             store,
-            max_wait_ms=1.0,
             reload_interval_seconds=0.05,
             drain_grace_seconds=0.2,
         ) as server:

@@ -145,7 +145,7 @@ def served(mvg_setup, tmp_path_factory, serve):
     rng = np.random.default_rng(1)
     nn = NearestNeighborEuclidean().fit(rng.normal(size=(8, 16)), np.repeat([0, 1], 4))
     store.save(nn, "nn")
-    with serve(store, default_model="mvg", max_wait_ms=1.0) as server:
+    with serve(store, default_model="mvg") as server:
         yield {
             "port": server.server_address[1],
             "model": model,
@@ -246,7 +246,7 @@ class TestHotReloadInteraction:
         nn = NearestNeighborEuclidean().fit(X, y)
         store = ModelStore(tmp_path / "store")
         store.save(nn, "m")
-        with serve(store, max_wait_ms=1.0, drain_grace_seconds=0.0) as server:
+        with serve(store, drain_grace_seconds=0.0) as server:
             yield {
                 "port": server.server_address[1],
                 "store": store,
