@@ -13,11 +13,19 @@ one regression tree per class on the gradient/hessian pair, with
 The tree builder evaluates all features' candidate splits in one
 vectorised pass (sort + cumulative gradient sums), so no histogramming
 is needed at this data scale.
+
+Prediction runs on one flat ensemble: every tree's node arrays are
+stacked once (at the end of ``fit`` and on load), all rows are routed
+through all trees level by level, and a cumulative sum over the rounds
+yields the logits after every round.  Round ``s`` of that sum equals the
+model fitted with ``n_estimators=s`` bit for bit, which is what
+``staged_predict_proba`` exposes and grid search exploits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -26,7 +34,8 @@ from repro.ml.base import BaseEstimator, check_X_y
 
 @dataclass
 class _BoostTree:
-    """A fitted regression tree stored as flat arrays."""
+    """A fitted regression tree stored as flat node lists (preorder, so
+    every child's index exceeds its parent's)."""
 
     feature: list[int] = field(default_factory=list)
     threshold: list[float] = field(default_factory=list)
@@ -42,20 +51,60 @@ class _BoostTree:
         self.value.append(0.0)
         return len(self.feature) - 1
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0])
-        stack = [(0, np.arange(X.shape[0]))]
-        while stack:
-            node, rows = stack.pop()
-            if self.feature[node] < 0:
-                out[rows] = self.value[node]
-                continue
-            mask = X[rows, self.feature[node]] <= self.threshold[node]
-            if np.any(mask):
-                stack.append((self.left[node], rows[mask]))
-            if not np.all(mask):
-                stack.append((self.right[node], rows[~mask]))
-        return out
+    def depth(self) -> int:
+        depth = [0] * len(self.feature)
+        for node, feature in enumerate(self.feature):
+            if feature >= 0:
+                depth[self.left[node]] = depth[self.right[node]] = depth[node] + 1
+        return max(depth, default=0)
+
+
+class _FlatEnsemble:
+    """Many trees stacked into one set of flat node arrays.
+
+    Tree ``t`` owns the slots ``t * width .. (t + 1) * width - 1``; child
+    links are global slot indices, and a leaf (or padding slot) links to
+    itself on both sides, so routing every row through every tree is one
+    fixed loop over the deepest tree's levels with no per-node Python.
+    """
+
+    def __init__(self, trees: list[_BoostTree]):
+        width = max((len(tree.feature) for tree in trees), default=1)
+        shape = (len(trees), width)
+        feature = np.full(shape, -1, dtype=np.intp)
+        threshold = np.zeros(shape)
+        left = np.zeros(shape, dtype=np.intp)
+        right = np.zeros(shape, dtype=np.intp)
+        value = np.zeros(shape)
+        for t, tree in enumerate(trees):
+            n_nodes = len(tree.feature)
+            feature[t, :n_nodes] = tree.feature
+            threshold[t, :n_nodes] = tree.threshold
+            left[t, :n_nodes] = tree.left
+            right[t, :n_nodes] = tree.right
+            value[t, :n_nodes] = tree.value
+        internal = feature >= 0
+        slot = np.arange(feature.size).reshape(shape)
+        self.roots = slot[:, 0].copy()
+        self.feature = feature.ravel()  # -1 at leaves and padding
+        self.column = np.where(internal, feature, 0).ravel()
+        self.threshold = threshold.ravel()
+        self.left = np.where(internal, left + self.roots[:, None], slot).ravel()
+        self.right = np.where(internal, right + self.roots[:, None], slot).ravel()
+        self.value = value.ravel()
+        self.depth = max((tree.depth() for tree in trees), default=0)
+
+    def leaf_values(self, X: np.ndarray) -> np.ndarray:
+        """``(rows, trees)`` leaf value each row reaches in each tree.
+
+        A NaN feature fails ``x <= threshold`` and goes right.
+        """
+        node = np.broadcast_to(self.roots, (X.shape[0], self.roots.size))
+        row = np.arange(X.shape[0])[:, None]
+        for _ in range(self.depth):
+            go_left = X[row, self.column[node]] <= self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
+        return self.value[node]
 
 
 def _fit_tree(
@@ -70,25 +119,30 @@ def _fit_tree(
     min_child_weight: float,
 ) -> _BoostTree:
     tree = _BoostTree()
-
-    def leaf_weight(g_sum: float, h_sum: float) -> float:
-        return -g_sum / (h_sum + reg_lambda)
-
-    def build(idx: np.ndarray, depth: int) -> int:
+    Xc = X[:, features]
+    columns = np.arange(features.size)
+    # Depth first, left child first, so nodes are numbered in preorder.
+    # An explicit stack, not a recursive closure: the closure would sit
+    # in a reference cycle that keeps Xc alive until the cyclic GC runs.
+    pending: list[tuple[np.ndarray, int, list[int] | None, int]] = [(rows, 0, None, -1)]
+    while pending:
+        idx, depth, links, parent = pending.pop()
         node = tree.add_node()
-        g_sum = float(grad[idx].sum())
-        h_sum = float(hess[idx].sum())
-        tree.value[node] = leaf_weight(g_sum, h_sum)
+        if links is not None:
+            links[parent] = node
+        g = grad[idx]
+        h = hess[idx]
+        g_sum = float(g.sum())
+        h_sum = float(h.sum())
+        tree.value[node] = -g_sum / (h_sum + reg_lambda)
         if depth >= max_depth or idx.size < 2:
-            return node
+            continue
 
-        Xf = X[np.ix_(idx, features)]
+        Xf = Xc[idx]
         order = np.argsort(Xf, axis=0, kind="stable")
-        x_sorted = np.take_along_axis(Xf, order, axis=0)
-        g_sorted = grad[idx][order]
-        h_sorted = hess[idx][order]
-        gl = np.cumsum(g_sorted, axis=0)[:-1]
-        hl = np.cumsum(h_sorted, axis=0)[:-1]
+        x_sorted = Xf[order, columns]
+        gl = np.cumsum(g[order], axis=0)[:-1]
+        hl = np.cumsum(h[order], axis=0)[:-1]
         gr = g_sum - gl
         hr = h_sum - hl
 
@@ -101,22 +155,18 @@ def _fit_tree(
             & (hl >= min_child_weight)
             & (hr >= min_child_weight)
         )
-        gain = np.where(valid, gain, -np.inf)
+        gain[~valid] = -np.inf
         best = int(np.argmax(gain))
         row, col = divmod(best, gain.shape[1])
         if gain[row, col] <= 0.0:
-            return node
+            continue
 
-        feature = int(features[col])
         threshold = 0.5 * (x_sorted[row, col] + x_sorted[row + 1, col])
-        mask = X[idx, feature] <= threshold
-        tree.feature[node] = feature
+        mask = Xf[:, col] <= threshold
+        tree.feature[node] = int(features[col])
         tree.threshold[node] = float(threshold)
-        tree.left[node] = build(idx[mask], depth + 1)
-        tree.right[node] = build(idx[~mask], depth + 1)
-        return node
-
-    build(rows, 0)
+        pending.append((idx[~mask], depth + 1, tree.right, node))
+        pending.append((idx[mask], depth + 1, tree.left, node))
     return tree
 
 
@@ -207,39 +257,71 @@ class GradientBoostingClassifier(BaseEstimator):
                     self.gamma,
                     self.min_child_weight,
                 )
-                logits[:, out_idx] += self.learning_rate * tree.predict(X)
                 round_trees.append(tree)
+            logits += self.learning_rate * _FlatEnsemble(round_trees).leaf_values(X)
             self.trees_.append(round_trees)
         self.n_features_ = f
+        self._compile()
         return self
 
-    def _raw_logits(self, X: np.ndarray) -> np.ndarray:
-        logits = np.zeros((X.shape[0], self._n_outputs))
-        for round_trees in self.trees_:
-            for out_idx, tree in enumerate(round_trees):
-                logits[:, out_idx] += self.learning_rate * tree.predict(X)
-        return logits
+    def _compile(self) -> None:
+        """Stack every fitted tree into the flat ensemble prediction
+        routes through; called at the end of :meth:`fit` and on load."""
+        self._ensemble = _FlatEnsemble(
+            [tree for round_trees in self.trees_ for tree in round_trees]
+        )
+
+    def _staged_logits(self, X: np.ndarray) -> np.ndarray:
+        """``(rows, rounds + 1, outputs)`` logits after each round.
+
+        A cumulative sum over a zero-led array adds the rounds one by one
+        in fit order, so stage ``s`` equals the logits of the same model
+        fitted with ``n_estimators=s``, bit for bit.
+        """
+        rounds = len(self.trees_)
+        steps = np.zeros((X.shape[0], rounds + 1, self._n_outputs))
+        steps[:, 1:] = self.learning_rate * self._ensemble.leaf_values(X).reshape(
+            X.shape[0], rounds, self._n_outputs
+        )
+        return np.cumsum(steps, axis=1)
+
+    def _probabilities(self, logits: np.ndarray) -> np.ndarray:
+        if self._n_outputs == 1:
+            p1 = 1.0 / (1.0 + np.exp(-logits[:, 0]))
+            return np.column_stack([1.0 - p1, p1])
+        return _softmax(np.ascontiguousarray(logits))
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Softmax (or sigmoid) probabilities from the boosted logits."""
         self._check_fitted()
         X = np.asarray(X, dtype=np.float64)
-        logits = self._raw_logits(X)
-        if self._n_outputs == 1:
-            p1 = 1.0 / (1.0 + np.exp(-logits[:, 0]))
-            return np.column_stack([1.0 - p1, p1])
-        return _softmax(logits)
+        return self._probabilities(self._staged_logits(X)[:, -1])
+
+    def staged_predict_proba(self, X: np.ndarray, stages: Iterable[int]) -> list[np.ndarray]:
+        """Probabilities after each of ``stages`` boosting rounds, from one
+        pass over the trees.
+
+        Stage ``s`` equals ``predict_proba`` of the model refitted with
+        ``n_estimators=s`` and the same ``random_state``.
+        """
+        self._check_fitted()
+        X = np.asarray(X, dtype=np.float64)
+        rounds = len(self.trees_)
+        stages = list(stages)
+        for stage in stages:
+            if not 0 <= stage <= rounds:
+                raise ValueError(f"stage {stage} outside 0..{rounds}")
+        logits = self._staged_logits(X)
+        return [self._probabilities(logits[:, stage]) for stage in stages]
 
     @property
     def feature_importances_(self) -> np.ndarray:
         """Split-frequency importances (the "weight" importance XGBoost
         reports by default, used for the Figure 10 case study)."""
         self._check_fitted()
-        importances = np.zeros(self.n_features_)
-        for round_trees in self.trees_:
-            for tree in round_trees:
-                for feature in tree.feature:
-                    if feature >= 0:
-                        importances[feature] += 1.0
+        feature = self._ensemble.feature
+        importances = np.bincount(
+            feature[feature >= 0], minlength=self.n_features_
+        ).astype(np.float64)
         total = importances.sum()
         return importances / total if total > 0 else importances

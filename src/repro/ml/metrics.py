@@ -29,8 +29,10 @@ def log_loss(
 ) -> float:
     """Cross-entropy of predicted class probabilities (Equation 5).
 
-    ``probabilities`` has one column per class in ``classes`` order
-    (defaults to the sorted unique labels of ``y_true``).
+    ``probabilities`` has one column per class in sorted ``classes``
+    order (defaults to the sorted unique labels of ``y_true``).  A label
+    outside ``classes`` (e.g. a class absent from a CV training fold) is
+    charged probability 0, clipped to ``epsilon``.
     """
     y_true = np.asarray(y_true)
     probabilities = np.asarray(probabilities, dtype=np.float64)
@@ -43,7 +45,10 @@ def log_loss(
             f"{y_true.size} samples x {classes.size} classes"
         )
     column = np.searchsorted(classes, y_true)
-    picked = probabilities[np.arange(y_true.size), column]
+    known = column < classes.size
+    known[known] = classes[column[known]] == y_true[known]
+    picked = np.zeros(y_true.size)
+    picked[known] = probabilities[np.flatnonzero(known), column[known]]
     return float(-np.mean(np.log(np.clip(picked, epsilon, 1.0))))
 
 

@@ -88,8 +88,18 @@ def _score(estimator: BaseEstimator, X: np.ndarray, y: np.ndarray, scoring: str)
     """Higher is better for every scoring name."""
     if scoring == "accuracy":
         return accuracy_score(y, estimator.predict(X))
+    return _score_probabilities(estimator.classes_, estimator.predict_proba(X), y, scoring)
+
+
+def _score_probabilities(
+    classes: np.ndarray, probabilities: np.ndarray, y: np.ndarray, scoring: str
+) -> float:
+    """:func:`_score` from ``predict_proba`` outputs, for an estimator
+    whose ``predict`` is their argmax."""
+    if scoring == "accuracy":
+        return accuracy_score(y, classes[np.argmax(probabilities, axis=1)])
     if scoring == "neg_log_loss":
-        return -log_loss(y, estimator.predict_proba(X), classes=estimator.classes_)
+        return -log_loss(y, probabilities, classes=classes)
     raise ValueError(f"unknown scoring {scoring!r}")
 
 
@@ -114,7 +124,21 @@ def cross_val_score(
 
 
 class GridSearchCV(BaseEstimator):
-    """Exhaustive grid search with stratified CV and refit on the winner."""
+    """Exhaustive grid search with stratified CV and refit on the winner.
+
+    Grid points are scored in :class:`ParameterGrid` order and the first
+    strict maximum of the mean CV score wins.
+
+    Staged scoring: when the estimator has ``staged_predict_proba`` (the
+    gradient booster) and the grid has an ``n_estimators`` axis, each
+    setting of the other parameters is fitted once per fold with the
+    largest ``n_estimators``, and every requested count is scored from
+    that fit's staged probabilities.  A boosted model's first ``s`` rounds
+    are the model fitted with ``n_estimators=s``, so ``results_``,
+    ``best_params_``, ``best_score_`` and the refit model are the same as
+    fitting every grid point separately.  Any other estimator (including
+    a pipeline tuned through ``clf__n_estimators``) fits every point.
+    """
 
     def __init__(
         self,
@@ -136,13 +160,20 @@ class GridSearchCV(BaseEstimator):
         self.results_: list[dict[str, Any]] = []
         best_score = -np.inf
         best_params: dict[str, Any] | None = None
+        staged = "n_estimators" in self.param_grid and hasattr(
+            self.estimator, "staged_predict_proba"
+        )
+        stage_scores: list[tuple[dict[str, Any], dict[int, float]]] = []
         for params in ParameterGrid(self.param_grid):
-            candidate = clone(self.estimator).set_params(**params)
-            scores = cross_val_score(
-                candidate, X, y, cv=self.cv, scoring=self.scoring,
-                random_state=self.random_state,
-            )
-            mean_score = float(scores.mean())
+            if staged:
+                mean_score = self._staged_mean_score(params, X, y, stage_scores)
+            else:
+                candidate = clone(self.estimator).set_params(**params)
+                scores = cross_val_score(
+                    candidate, X, y, cv=self.cv, scoring=self.scoring,
+                    random_state=self.random_state,
+                )
+                mean_score = float(scores.mean())
             self.results_.append({"params": params, "mean_score": mean_score})
             if mean_score > best_score:
                 best_score = mean_score
@@ -154,6 +185,40 @@ class GridSearchCV(BaseEstimator):
         self.best_estimator_.fit(X, y)
         self.classes_ = self.best_estimator_.classes_
         return self
+
+    def _staged_mean_score(
+        self,
+        params: dict[str, Any],
+        X: np.ndarray,
+        y: np.ndarray,
+        stage_scores: list[tuple[dict[str, Any], dict[int, float]]],
+    ) -> float:
+        """Mean CV score of ``params``, reading it from (or adding to)
+        ``stage_scores``: per setting of the non-``n_estimators``
+        parameters, the scores of every grid ``n_estimators`` value."""
+        others = {key: value for key, value in params.items() if key != "n_estimators"}
+        for seen, scores in stage_scores:
+            if seen == others:
+                return scores[params["n_estimators"]]
+        stages = sorted(set(self.param_grid["n_estimators"]))
+        model = clone(self.estimator).set_params(**others, n_estimators=stages[-1])
+        folds = StratifiedKFold(self.cv, shuffle=True, random_state=self.random_state)
+        fold_scores: dict[int, list[float]] = {stage: [] for stage in stages}
+        for train_idx, valid_idx in folds.split(y):
+            fitted = clone(model).fit(X[train_idx], y[train_idx])
+            staged = fitted.staged_predict_proba(X[valid_idx], stages)
+            for stage, probabilities in zip(stages, staged):
+                fold_scores[stage].append(
+                    _score_probabilities(
+                        fitted.classes_, probabilities, y[valid_idx], self.scoring
+                    )
+                )
+        scores = {
+            stage: float(np.asarray(values).mean())
+            for stage, values in fold_scores.items()
+        }
+        stage_scores.append((others, scores))
+        return scores[params["n_estimators"]]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         self._check_fitted("best_estimator_")

@@ -150,6 +150,7 @@ def _boosting_from_dict(blob: dict[str, Any]) -> GradientBoostingClassifier:
             )
             round_trees.append(tree)
         model.trees_.append(round_trees)
+    model._compile()
     return model
 
 

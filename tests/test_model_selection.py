@@ -162,6 +162,24 @@ class TestGridSearchCV:
             max(r["mean_score"] for r in gs.results_)
         )
 
+    @pytest.mark.parametrize(
+        "grid", [{"n_estimators": [2, 4]}, {"learning_rate": [0.1, 0.3]}]
+    )
+    def test_singleton_class_does_not_crash(self, rng, grid):
+        # The lone class-2 sample lands in one validation fold whose
+        # training folds never saw class 2; log loss charges it epsilon.
+        X = rng.normal(size=(25, 3))
+        y = np.array([0, 1] * 12 + [2])
+        gs = GridSearchCV(
+            GradientBoostingClassifier(n_estimators=3, random_state=0),
+            grid,
+            cv=3,
+            random_state=0,
+        ).fit(X, y)
+        assert len(gs.results_) == 2
+        assert all(np.isfinite(r["mean_score"]) for r in gs.results_)
+        assert set(gs.classes_) == {0, 1, 2}
+
     def test_unfitted_raises(self):
         gs = GridSearchCV(DecisionTreeClassifier(), {"max_depth": [1]})
         with pytest.raises(RuntimeError):

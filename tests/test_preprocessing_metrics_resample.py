@@ -95,6 +95,19 @@ class TestMetrics:
         probs = np.array([[0.0, 1.0]])
         assert np.isfinite(log_loss(y, probs, classes=np.array([0, 1])))
 
+    def test_log_loss_label_between_classes_is_charged_epsilon(self):
+        # Label 1 is not a column; it must not borrow class 2's column.
+        y = np.array([0, 1, 2])
+        probs = np.array([[0.9, 0.1], [0.2, 0.8], [0.3, 0.7]])
+        expected = -np.mean(np.log([0.9, 1e-12, 0.7]))
+        assert log_loss(y, probs, classes=np.array([0, 2])) == expected
+
+    def test_log_loss_label_past_last_class_is_charged_epsilon(self):
+        y = np.array([0, 3])
+        probs = np.array([[0.6, 0.4], [0.5, 0.5]])
+        expected = -np.mean(np.log([0.6, 1e-3]))
+        assert log_loss(y, probs, classes=np.array([0, 2]), epsilon=1e-3) == expected
+
     def test_log_loss_shape_mismatch(self):
         with pytest.raises(ValueError):
             log_loss(np.array([0, 1]), np.ones((2, 3)), classes=np.array([0, 1]))
