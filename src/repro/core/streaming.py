@@ -22,9 +22,10 @@ visibility graphs from scratch:
 
 Graph *construction* and graph *metrics* are both delta-maintained:
 each sliding graph feeds its push/evict edge deltas to an
-:class:`~repro.graph.incremental_metrics.IncrementalMetricBank`, whose
-states fold them into O(degree)-local accumulators (motif primitives,
-degree moments, k-core drift) and derive the per-tick values through
+:class:`~repro.graph.incremental_metrics.IncrementalMetricBank` (one
+motif accumulator plus a VG k-core state), which folds them into
+O(degree)-local accumulators (motif primitives, degree moments, k-core
+certificates) and derives the per-tick values through
 the *same* final reductions the batch metric functions use.  That
 shared derivation is what makes bit-identity a structural property
 rather than a numerical accident: equal window graphs give equal
@@ -473,13 +474,7 @@ class StreamingFeatureExtractor:
             start,
         )
         for kind, svg in slot.graphs.graphs.items():
-            slot.banks[kind] = IncrementalMetricBank(
-                svg,
-                need_motifs=True,
-                need_stats=self.config.include_stats,
-                need_extended=self.config.include_extended,
-                phase_clock=self._phase_clock,
-            )
+            slot.banks[kind] = IncrementalMetricBank(svg, phase_clock=self._phase_clock)
         return slot
 
     def _bank_features(self, bank: IncrementalMetricBank) -> dict[str, float]:

@@ -20,7 +20,13 @@ delta stream the sliding structures emit:
   derived floats bit-identical to batch, by construction — property
   tested on every prefix and window in
   ``tests/test_incremental_metrics_property.py``.
-* :class:`IncrementalMetricBank` — per-graph bundle that subscribes to a
+* :class:`MotifState` — the one edge-delta accumulator: vertex and edge
+  counts, degree moments, edge degree products and the triangle and
+  codegree tables.  Motif counts, density, assortativity, transitivity
+  and clustering all derive from it.
+* :class:`KCoreState` — the degeneracy of a VG (see below).
+* :class:`IncrementalMetricBank` — per-graph bundle of one motif
+  accumulator plus a VG k-core state.  It subscribes to a
   :class:`~repro.graph.incremental.SlidingVisibilityGraph` and exposes
   drop-in replacements for :func:`~repro.graph.metrics.graph_statistics`,
   :func:`~repro.graph.motifs.count_motifs` and
@@ -32,15 +38,12 @@ for the degree moments and triangle/codegree tables, O(degree^2) for the
 4-clique increments — versus the batch layer's full O(n + m·d) sweep.
 Degeneracy is the one metric without a cheap local delta.  On an HVG it
 is a closed form in the vertex/edge counts
-(:func:`~repro.graph.metrics.hvg_degeneracy`); on a VG it moves by at
-most one per vertex event (removing a vertex lowers no core number by
-more than one, and the reverse bounds insertion), so
-:class:`KCoreState` tracks a drift radius and re-certifies with a
-binary search of vectorized k-core peels over ``[last - drift,
-last + drift]``.  Spectral metrics (bipartivity, eigencentrality,
-closeness) are recomputed from the incrementally maintained CSR — they
-are already cheap relative to the old motif recomputation and stay
-exact.
+(:func:`~repro.graph.metrics.hvg_degeneracy`); on a VG
+:class:`KCoreState` keeps the last exact value with two certificates
+and re-peels only when one fails.  Spectral metrics (bipartivity,
+eigencentrality, closeness) are recomputed from the incrementally
+maintained CSR — they are already cheap relative to the old motif
+recomputation and stay exact.
 """
 
 from __future__ import annotations
@@ -110,125 +113,6 @@ class MetricState(Protocol):
     def value(self): ...
 
 
-class DensityState:
-    """Vertex/edge counters; ``value()`` == :func:`~repro.graph.metrics.density`."""
-
-    __slots__ = ("_n", "_m")
-
-    def __init__(self) -> None:
-        self._n = 0
-        self._m = 0
-
-    def apply(self, delta: GraphDelta) -> None:
-        if delta.op == "add":
-            self._n += 1
-            self._m += delta.neighbors.size
-        elif delta.op == "remove":
-            self._n -= 1
-            self._m -= delta.neighbors.size
-        else:
-            self._n = 0
-            self._m = 0
-
-    def value(self) -> float:
-        return density_from_counts(self._n, self._m)
-
-
-class DegreeStatisticsState:
-    """``(max, min, mean)`` degree over the window.
-
-    The running accumulator — the window degree array — already lives in
-    the sliding graph structure, maintained O(degree) per event; this
-    state borrows it through ``degrees_provider`` and applies the shared
-    batch reduction (:func:`~repro.graph.metrics.degree_statistics_from_degrees`),
-    so ``apply`` has nothing left to fold.
-    """
-
-    __slots__ = ("_degrees",)
-
-    def __init__(self, degrees_provider: Callable[[], np.ndarray]) -> None:
-        self._degrees = degrees_provider
-
-    def apply(self, delta: GraphDelta) -> None:
-        pass
-
-    def value(self) -> tuple[float, float, float]:
-        return degree_statistics_from_degrees(self._degrees())
-
-
-class AssortativityState:
-    """Exact integer moment sums for degree assortativity.
-
-    Maintains ``m``, ``d2 = sum deg^2``, ``d3 = sum deg^3`` and
-    ``e_prod = sum_e deg_u deg_v`` under single-edge updates (each
-    O(degree): adding an edge at ``u`` raises every ``u``-incident
-    product by its neighbour's degree).  ``value()`` feeds them to
-    :func:`~repro.graph.metrics.assortativity_from_sums` — the same
-    final reduction the batch path uses, so the float is bit-identical.
-    """
-
-    __slots__ = ("_adj", "_m", "_d2", "_d3", "_e_prod")
-
-    def __init__(self) -> None:
-        self._reset()
-
-    def _reset(self) -> None:
-        self._adj: dict[int, set[int]] = {}
-        self._m = 0
-        self._d2 = 0
-        self._d3 = 0
-        self._e_prod = 0
-
-    def apply(self, delta: GraphDelta) -> None:
-        if delta.op == "add":
-            v = delta.vertex
-            self._adj[v] = set()
-            for nb in delta.neighbors.tolist():
-                self._add_edge(v, nb)
-        elif delta.op == "remove":
-            v = delta.vertex
-            for nb in delta.neighbors.tolist():
-                self._remove_edge(v, nb)
-            del self._adj[v]
-        else:
-            self._reset()
-
-    def _add_edge(self, u: int, w: int) -> None:
-        adj = self._adj
-        au, aw = adj[u], adj[w]
-        du, dw = len(au), len(aw)
-        self._d2 += 2 * (du + dw) + 2
-        self._d3 += 3 * du * (du + 1) + 3 * dw * (dw + 1) + 2
-        s = 0
-        for y in au:  # repro: allow[determinism] exact integer sum, order-free
-            s += len(adj[y])
-        for y in aw:  # repro: allow[determinism] exact integer sum, order-free
-            s += len(adj[y])
-        self._e_prod += s + (du + 1) * (dw + 1)
-        au.add(w)
-        aw.add(u)
-        self._m += 1
-
-    def _remove_edge(self, u: int, w: int) -> None:
-        adj = self._adj
-        au, aw = adj[u], adj[w]
-        au.discard(w)
-        aw.discard(u)
-        self._m -= 1
-        du, dw = len(au), len(aw)
-        self._d2 -= 2 * (du + dw) + 2
-        self._d3 -= 3 * du * (du + 1) + 3 * dw * (dw + 1) + 2
-        s = 0
-        for y in au:  # repro: allow[determinism] exact integer sum, order-free
-            s += len(adj[y])
-        for y in aw:  # repro: allow[determinism] exact integer sum, order-free
-            s += len(adj[y])
-        self._e_prod -= s + (du + 1) * (dw + 1)
-
-    def value(self) -> float:
-        return assortativity_from_sums(self._m, self._d2, self._d3, self._e_prod)
-
-
 class MotifState:
     """All motif primitives of :class:`~repro.graph.motifs.MotifPrimitives`
     as running accumulators under single-edge updates.
@@ -257,7 +141,6 @@ class MotifState:
         "_t",
         "_w",
         "_deg_c3",
-        "_d2",
         "_e_prod",
         "_td",
         "_paired",
@@ -281,7 +164,6 @@ class MotifState:
         self._t = 0  # triangles
         self._w = 0  # sum_v C(deg_v, 2)
         self._deg_c3 = 0  # sum_v C(deg_v, 3)
-        self._d2 = 0  # sum_v deg_v^2
         self._e_prod = 0  # sum_e deg_u * deg_v
         self._td = 0  # sum_v tri_v * deg_v
         self._paired = 0  # sum_pairs C(codeg, 2)  (== 2 * non-induced C4)
@@ -313,7 +195,6 @@ class MotifState:
         # Degree moments: deg(u): du -> du + 1, deg(w): dw -> dw + 1.
         self._w += du + dw
         self._deg_c3 += du * (du - 1) // 2 + dw * (dw - 1) // 2
-        self._d2 += 2 * (du + dw) + 2
         # Every edge at u (resp. w) has its u-side degree raised by one,
         # and the new edge contributes its own endpoint product.
         s = 0
@@ -443,7 +324,6 @@ class MotifState:
                 del codeg[key]
         self._w -= du + dw
         self._deg_c3 -= du * (du - 1) // 2 + dw * (dw - 1) // 2
-        self._d2 -= 2 * (du + dw) + 2
         s = 0
         for y in au:  # repro: allow[determinism] exact integer sum, order-free
             s += len(adj[y])
@@ -454,6 +334,7 @@ class MotifState:
 
     def primitives(self) -> MotifPrimitives:
         """Current aggregates in the batch layer's primitive vocabulary."""
+        d2 = 2 * self._w + 2 * self._m  # sum deg^2 == 2 sum C(deg, 2) + 2m
         return MotifPrimitives(
             n=self._n,
             m=self._m,
@@ -464,9 +345,20 @@ class MotifState:
             cycles_noninduced=self._paired // 2,
             tri_pair_sum=self._tri_pair,
             tailed_noninduced=self._td - 6 * self._t,
-            paths_noninduced=self._e_prod - self._d2 + self._m - 3 * self._t,
-            m33=self._n * self._m - self._d2 + 3 * self._t,
+            paths_noninduced=self._e_prod - d2 + self._m - 3 * self._t,
+            m33=self._n * self._m - d2 + 3 * self._t,
         )
+
+    def assortativity(self) -> float:
+        """Degree assortativity through the batch reduction
+        :func:`~repro.graph.metrics.assortativity_from_sums`.  Its degree
+        square and cube sums follow from ``deg^2 == 2 C(deg, 2) + deg``
+        and ``deg^3 == 6 C(deg, 3) + 6 C(deg, 2) + deg``, so every input
+        is an exact integer and the float is bit-identical."""
+        m, w = self._m, self._w
+        d2 = 2 * w + 2 * m
+        d3 = 6 * self._deg_c3 + 6 * w + 2 * m
+        return assortativity_from_sums(m, d2, d3, self._e_prod)
 
     def value(self) -> MotifCounts:
         return motifs_from_primitives(self.primitives())
@@ -576,50 +468,32 @@ class KCoreState:
 
 
 class IncrementalMetricBank:
-    """Per-graph bundle of delta-maintained metric states.
+    """Per-graph bundle of delta-maintained metric states: one motif
+    accumulator plus a VG k-core state.
 
     Subscribes to one :class:`~repro.graph.incremental.SlidingVisibilityGraph`
     and mirrors the batch feature functions: :meth:`statistics` ==
     ``graph_statistics(g)``, :meth:`motifs` == ``count_motifs(g)``,
     :meth:`extended` == ``extended_graph_statistics(g)`` for the current
     window graph ``g`` — integers exactly, derived floats bit for bit.
-    Construct with only the banks the feature configuration needs;
-    ``need_extended`` implies the motif accumulators (transitivity and
-    clustering derive from the triangle tables).
+    Density, assortativity, transitivity and clustering derive from the
+    :class:`MotifState` counts and sums, the degree statistics from the
+    sliding graph's degree array.  An HVG's degeneracy is a closed form
+    in the vertex and edge counts, so only a VG bank keeps a
+    :class:`KCoreState`.
     """
 
-    __slots__ = ("_svg", "_states", "motif_state", "_assort", "_kcore", "_density", "_degstats", "phase_clock")
+    __slots__ = ("_svg", "_states", "motif_state", "_kcore", "phase_clock")
 
-    def __init__(
-        self,
-        svg,
-        *,
-        need_motifs: bool = True,
-        need_stats: bool = True,
-        need_extended: bool = False,
-        phase_clock=None,
-    ) -> None:
+    def __init__(self, svg, *, phase_clock=None) -> None:
         self._svg = svg
-        self._states: list[MetricState] = []
-        self.motif_state: MotifState | None = None
-        self._assort: AssortativityState | None = None
+        self.motif_state = MotifState()
+        self._states: list[MetricState] = [self.motif_state]
         self._kcore: KCoreState | None = None
-        self._density: DensityState | None = None
-        self._degstats: DegreeStatisticsState | None = None
+        if svg.kind != "hvg":
+            self._kcore = KCoreState(svg.csr)
+            self._states.append(self._kcore)
         self.phase_clock = phase_clock
-        if need_motifs or need_extended:
-            self.motif_state = MotifState()
-            self._states.append(self.motif_state)
-        if need_stats:
-            self._assort = AssortativityState()
-            self._density = DensityState()
-            self._degstats = DegreeStatisticsState(svg.degree_array)
-            self._states.extend([self._assort, self._density, self._degstats])
-            # An HVG's degeneracy is a closed form in the density state's
-            # (n, m); only the VG needs a k-core state.
-            if svg.kind != "hvg":
-                self._kcore = KCoreState(svg.csr)
-                self._states.append(self._kcore)
         svg.subscribe(self.apply)
 
     def apply(self, delta: GraphDelta) -> None:
@@ -635,17 +509,18 @@ class IncrementalMetricBank:
 
     def statistics(self) -> dict[str, float]:
         """Drop-in for ``graph_statistics(window_graph)``."""
-        d_max, d_min, d_mean = self._degstats.value()
-        density = self._density
+        motif = self.motif_state
+        degrees = self._svg.degree_array()
+        d_max, d_min, d_mean = degree_statistics_from_degrees(degrees)
         kcore = (
-            hvg_degeneracy(density._n, density._m)
+            hvg_degeneracy(motif._n, motif._m)
             if self._kcore is None
             else self._kcore.value()
         )
         return {
-            "density": density.value(),
+            "density": density_from_counts(motif._n, motif._m),
             "kcore": float(kcore),
-            "assortativity": self._assort.value(),
+            "assortativity": motif.assortativity(),
             "degree_max": d_max,
             "degree_min": d_min,
             "degree_mean": d_mean,

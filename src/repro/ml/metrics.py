@@ -21,6 +21,17 @@ def error_rate(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return 1.0 - accuracy_score(y_true, y_pred)
 
 
+def _class_columns(
+    classes: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Column of each label in sorted ``classes``, and a mask of the
+    labels actually found there (the columns of the others are junk)."""
+    column = np.searchsorted(classes, labels)
+    known = column < classes.size
+    known[known] = classes[column[known]] == labels[known]
+    return column, known
+
+
 def log_loss(
     y_true: np.ndarray,
     probabilities: np.ndarray,
@@ -44,9 +55,7 @@ def log_loss(
             f"probabilities shape {probabilities.shape} does not match "
             f"{y_true.size} samples x {classes.size} classes"
         )
-    column = np.searchsorted(classes, y_true)
-    known = column < classes.size
-    known[known] = classes[column[known]] == y_true[known]
+    column, known = _class_columns(classes, y_true)
     picked = np.zeros(y_true.size)
     picked[known] = probabilities[np.flatnonzero(known), column[known]]
     return float(-np.mean(np.log(np.clip(picked, epsilon, 1.0))))
@@ -55,17 +64,24 @@ def log_loss(
 def confusion_matrix(
     y_true: np.ndarray, y_pred: np.ndarray, classes: np.ndarray | None = None
 ) -> np.ndarray:
-    """Counts matrix ``C[i, j]`` = samples of class ``i`` predicted ``j``."""
+    """Counts matrix ``C[i, j]`` = samples of class ``i`` predicted ``j``.
+
+    ``classes`` (sorted; defaults to the sorted union of both label
+    arrays) fixes the rows and columns.  A sample whose true or
+    predicted label is outside ``classes`` is not counted, as with
+    sklearn's ``labels=``.
+    """
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
     if classes is None:
         classes = np.unique(np.concatenate([y_true, y_pred]))
     classes = np.asarray(classes)
     k = classes.size
-    ti = np.searchsorted(classes, y_true)
-    pi = np.searchsorted(classes, y_pred)
+    ti, true_known = _class_columns(classes, y_true)
+    pi, pred_known = _class_columns(classes, y_pred)
+    counted = true_known & pred_known
     out = np.zeros((k, k), dtype=np.int64)
-    np.add.at(out, (ti, pi), 1)
+    np.add.at(out, (ti[counted], pi[counted]), 1)
     return out
 
 

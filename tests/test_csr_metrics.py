@@ -77,8 +77,8 @@ class TestHVGClosedForms:
         assert hvg_degeneracy(5, 6) == 2
 
     def test_bank_keeps_no_kcore_state_for_hvg(self):
-        """The streaming bank derives the HVG k-core from the density
-        counters; only the VG bank re-certifies a peel."""
+        """The streaming bank derives the HVG k-core from the motif
+        state's counts; only the VG bank re-certifies a peel."""
         banks = {}
         for kind in ("vg", "hvg"):
             sliding = SlidingVisibilityGraph(kind, window=16)

@@ -60,9 +60,7 @@ windows = st.integers(1, 20)
 
 
 def make_bank(svg: SlidingVisibilityGraph) -> IncrementalMetricBank:
-    return IncrementalMetricBank(
-        svg, need_motifs=True, need_stats=True, need_extended=True
-    )
+    return IncrementalMetricBank(svg)
 
 
 class TestEveryPrefixAndWindow:

@@ -119,6 +119,15 @@ class TestMetrics:
         assert cm.tolist() == [[1, 1, 0], [0, 2, 0], [1, 0, 0]]
         assert cm.sum() == 5
 
+    def test_confusion_matrix_skips_label_between_classes(self):
+        # True label 1 is not a row; it must not be filed under class 2.
+        cm = confusion_matrix([0, 1, 2], [0, 0, 2], classes=[0, 2])
+        assert cm.tolist() == [[1, 0], [0, 1]]
+
+    def test_confusion_matrix_skips_label_past_last_class(self):
+        cm = confusion_matrix([0, 3], [0, 0], classes=[0, 2])
+        assert cm.tolist() == [[1, 0], [0, 0]]
+
     def test_f1_macro_perfect(self):
         y = np.array([0, 1, 2, 0])
         assert f1_macro(y, y) == 1.0

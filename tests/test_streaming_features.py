@@ -62,6 +62,17 @@ class TestBitIdentity:
         assert extractor.full_builds_ > 0
         assert extractor.incremental_ticks_ > 0
 
+    def test_window_256_every_phase_slot(self):
+        # The served mvg:G shape: five scales, 1 + 2 + 4 + 8 + 16 = 31
+        # phase slots.  300 compared ticks carry the eviction front past
+        # every vertex each slot held when it filled, so each k-core
+        # witness is broken and re-certified at least once.
+        rng = np.random.default_rng(5)
+        stream = np.round(np.cumsum(rng.normal(size=256 + 299)), 1)
+        extractor = _assert_stream_matches_batch(stream, 256, HEURISTIC_COLUMNS["G"])
+        assert sum(len(state.slots) for state in extractor._scales) == 31
+        assert extractor.full_builds_ == 0
+
     def test_extended_features(self):
         rng = np.random.default_rng(3)
         stream = np.round(rng.normal(size=80), 1)
