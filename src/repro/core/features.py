@@ -15,14 +15,20 @@ directly comparable.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.core.config import FeatureConfig
 from repro.core.multiscale import multiscale_representation
 from repro.graph import fast as fast_builders
 from repro.graph.adjacency import Graph
-from repro.graph.fast import CSRGraph
-from repro.graph.metrics import graph_statistics
+from repro.graph.extended_metrics import (
+    EXTENDED_FEATURE_NAMES,
+    extended_graph_statistics,
+)
+from repro.graph.fast import CSRGraph, CSRUnion, as_union
+from repro.graph.metrics import STAT_KEYS, graph_statistics
 from repro.graph.motifs import MOTIF_NAMES, count_motifs
 from repro.graph.visibility import horizontal_visibility_graph, visibility_graph
 
@@ -36,7 +42,17 @@ _STAT_LABELS = {
     "degree_mean": "DegMean",
 }
 
-_MOTIF_KEYS = tuple(MOTIF_NAMES)
+_MOTIF_LABELS = tuple(f"P(M{key[1:]})" for key in MOTIF_NAMES)
+
+
+def graph_feature_labels(include_stats: bool, include_extended: bool) -> tuple[str, ...]:
+    """Short labels of one graph's features, in feature order."""
+    labels = _MOTIF_LABELS
+    if include_stats:
+        labels += tuple(_STAT_LABELS[key] for key in STAT_KEYS)
+    if include_extended:
+        labels += EXTENDED_FEATURE_NAMES
+    return labels
 
 
 def assemble_feature_dict(
@@ -44,22 +60,46 @@ def assemble_feature_dict(
 ) -> dict[str, float]:
     """Labelled feature dict from already-computed metric values.
 
-    The single assembly point both extraction paths share: the batch
-    path (:func:`graph_feature_dict`) feeds it values from the stateless
-    metric functions, the streaming path
-    (:class:`repro.core.streaming.StreamingFeatureExtractor`) from its
-    delta-maintained metric banks — so label set and ordering cannot
-    drift between the two.
+    The assembly point of the streaming path
+    (:class:`repro.core.streaming.StreamingFeatureExtractor`), which
+    feeds it values from its delta-maintained metric banks; the labels
+    and their order are those of :func:`graph_feature_labels`, which the
+    batch path writes its rows under.
     """
-    out = {
-        f"P(M{key[1:]})": value
-        for key, value in motifs.probability_distributions().items()
-    }
+    out = dict(zip(_MOTIF_LABELS, motifs.probabilities()))
     if stats is not None:
         out.update({_STAT_LABELS[key]: value for key, value in stats.items()})
     if extended is not None:
         out.update(extended)
     return out
+
+
+def _fill_graph_rows(
+    out: np.ndarray,
+    union: CSRUnion,
+    *,
+    horizontal: bool,
+    include_stats: bool,
+    include_extended: bool,
+) -> None:
+    """Write the features of every member of ``union`` into ``out``, one
+    row per member in :func:`graph_feature_labels` order.
+
+    ``count_motifs`` and ``graph_statistics`` each take the whole union
+    and return one result per member; they are looked up on this module
+    at call time, so wrappers installed here (``perfbench/tracing.py``)
+    see every call.
+    """
+    n_motifs = len(_MOTIF_LABELS)
+    for row, counts in zip(out, count_motifs(union, horizontal=horizontal)):
+        row[:n_motifs] = counts.probabilities()
+    column = n_motifs
+    if include_stats:
+        column += len(STAT_KEYS)
+        out[:, n_motifs:column] = graph_statistics(union, horizontal=horizontal)
+    if include_extended:
+        for row, member in zip(out, union.members()):
+            row[column:] = tuple(extended_graph_statistics(member).values())
 
 
 def graph_feature_dict(
@@ -75,17 +115,21 @@ def graph_feature_dict(
     (degree entropy, bipartivity, centrality, clustering statistics).
     ``horizontal`` declares ``graph`` an HVG, whose k-core and 4-clique
     count are closed forms (:func:`repro.graph.metrics.hvg_degeneracy`).
+    A :class:`~repro.graph.fast.CSRUnion` argument must have one member.
     """
-    stats = graph_statistics(graph, horizontal=horizontal) if include_stats else None
-    if include_extended:
-        from repro.graph.extended_metrics import extended_graph_statistics
-
-        extended = extended_graph_statistics(graph)
-    else:
-        extended = None
-    return assemble_feature_dict(
-        count_motifs(graph, horizontal=horizontal), stats, extended
+    union = as_union(graph)
+    if union.n_members != 1:
+        raise ValueError(f"expected one graph, got a union of {union.n_members}")
+    labels = graph_feature_labels(include_stats, include_extended)
+    row = np.empty((1, len(labels)), dtype=np.float64)
+    _fill_graph_rows(
+        row,
+        union,
+        horizontal=horizontal,
+        include_stats=include_stats,
+        include_extended=include_extended,
     )
+    return dict(zip(labels, row[0].tolist()))
 
 
 #: Reference (pure-Python) builders; the fast path must stay
@@ -97,27 +141,57 @@ _REFERENCE_BUILDERS = {
 
 
 def _build_scale_graphs(
-    series: np.ndarray, graph_types: tuple[str, ...], fast: bool
-) -> dict[str, CSRGraph]:
-    """Visibility graphs of one scale as :class:`CSRGraph`, keyed by
-    graph type (``fast=False`` converts the reference builders' graphs).
+    scales: Sequence[np.ndarray], graph_types: tuple[str, ...], fast: bool
+) -> dict[str, CSRUnion]:
+    """Visibility graphs of every scale of one series, keyed by graph
+    type: each value is the :class:`CSRUnion` of that type's graphs, one
+    member per scale in order (``fast=False`` converts the reference
+    builders' graphs).
 
     When both graph types are requested the combined builder shares the
-    Cartesian-tree pass between the VG and the HVG.  The builders are
-    looked up on the module at call time, so wrappers installed there
-    (``perfbench/tracing.py``) see every call.
+    Cartesian-tree pass between the VG and the HVG of each scale.  The
+    builders are looked up on the module at call time, so wrappers
+    installed there (``perfbench/tracing.py``) see every call.
     """
-    if not fast:
-        return {
-            kind: CSRGraph.from_graph(_REFERENCE_BUILDERS[kind](series))
-            for kind in graph_types
-        }
-    if len(graph_types) == 2:
-        vg, hvg = fast_builders.visibility_graphs(series)
-        return {"vg": vg, "hvg": hvg}
-    if graph_types[0] == "vg":
-        return {"vg": fast_builders.fast_visibility_graph_csr(series)}
-    return {"hvg": fast_builders.fast_horizontal_visibility_graph_csr(series)}
+    members: dict[str, list[CSRGraph]] = {kind: [] for kind in graph_types}
+    for series in scales:
+        if not fast:
+            for kind in graph_types:
+                members[kind].append(
+                    CSRGraph.from_graph(_REFERENCE_BUILDERS[kind](series))
+                )
+        elif len(graph_types) == 2:
+            vg, hvg = fast_builders.visibility_graphs(series)
+            members["vg"].append(vg)
+            members["hvg"].append(hvg)
+        elif graph_types[0] == "vg":
+            members["vg"].append(fast_builders.fast_visibility_graph_csr(series))
+        else:
+            members["hvg"].append(fast_builders.fast_horizontal_visibility_graph_csr(series))
+    return {kind: CSRUnion.of(graphs) for kind, graphs in members.items()}
+
+
+#: ``(config, scale count) -> feature names``; the layout of a series
+#: depends on nothing else.
+_LAYOUTS: dict[tuple[FeatureConfig, int], tuple[str, ...]] = {}
+
+
+def feature_layout(config: FeatureConfig, n_scales: int) -> tuple[str, ...]:
+    """Feature names of a series with ``n_scales`` selected scales under
+    ``config``: per scale, per graph type, the graph's feature labels."""
+    key = (config, n_scales)
+    names = _LAYOUTS.get(key)
+    if names is None:
+        first = 1 if config.scales == "amvg" else 0
+        labels = graph_feature_labels(config.include_stats, config.include_extended)
+        names = tuple(
+            f"T{scale} {kind.upper()} {label}"
+            for scale in range(first, first + n_scales)
+            for kind in config.graph_types()
+            for label in labels
+        )
+        _LAYOUTS[key] = names
+    return names
 
 
 def extract_feature_vector(
@@ -131,38 +205,38 @@ def extract_feature_vector(
     graph builders (the outputs are identical either way; only the
     builder wall-clock differs).  No set :class:`Graph` is built unless
     a graph exceeds the motif counter's wedge budget.
+
+    Each graph type's graphs of all scales form one
+    :class:`~repro.graph.fast.CSRUnion`, so the metrics run once per
+    type over every scale, and their values go straight into the
+    feature row; the names come from :func:`feature_layout`.
     """
     series = np.asarray(series, dtype=np.float64)
     representation = multiscale_representation(series, tau=config.tau)
     if config.scales == "uvg":
-        scales = [(0, representation[0])]
+        scales = representation[:1]
     elif config.scales == "amvg":
-        scales = list(enumerate(representation))[1:]
+        scales = representation[1:]
     else:  # mvg
-        scales = list(enumerate(representation))
+        scales = representation
     if not scales:
         raise ValueError(
             f"series of length {series.size} yields no scales for "
             f"{config.scales!r} with tau={config.tau}"
         )
-
-    values: list[float] = []
-    names: list[str] = []
-    for scale_index, scaled_series in scales:
-        graphs = _build_scale_graphs(scaled_series, config.graph_types(), fast)
-        for graph_type in config.graph_types():
-            graph = graphs[graph_type]
-            features = graph_feature_dict(
-                graph,
-                include_stats=config.include_stats,
-                include_extended=config.include_extended,
-                horizontal=graph_type == "hvg",
-            )
-            prefix = f"T{scale_index} {graph_type.upper()}"
-            for label, value in features.items():
-                names.append(f"{prefix} {label}")
-                values.append(value)
-    return np.asarray(values, dtype=np.float64), names
+    graph_types = config.graph_types()
+    width = len(graph_feature_labels(config.include_stats, config.include_extended))
+    rows = np.empty((len(scales), len(graph_types), width), dtype=np.float64)
+    graphs = _build_scale_graphs(scales, graph_types, fast)
+    for position, graph_type in enumerate(graph_types):
+        _fill_graph_rows(
+            rows[:, position],
+            graphs[graph_type],
+            horizontal=graph_type == "hvg",
+            include_stats=config.include_stats,
+            include_extended=config.include_extended,
+        )
+    return rows.ravel(), list(feature_layout(config, len(scales)))
 
 
 def feature_mask(names: list[str], config: FeatureConfig) -> np.ndarray:

@@ -51,6 +51,7 @@ from repro.core.features import (
     _build_scale_graphs,
     assemble_feature_dict,
     graph_feature_dict,
+    graph_feature_labels,
 )
 from repro.core.multiscale import paa
 from repro.graph.incremental import SlidingGraphWindow
@@ -177,39 +178,17 @@ def scale_plan(window: int, config: FeatureConfig) -> list[tuple[int, int]]:
     return plan
 
 
-#: ``(include_stats, include_extended) -> features per graph``, probed
-#: once — the per-graph feature layout is size-independent.
-_WIDTH_CACHE: dict[tuple[bool, bool], int] = {}
-
-
-def _per_graph_width(config: FeatureConfig) -> int:
-    key = (config.include_stats, config.include_extended)
-    width = _WIDTH_CACHE.get(key)
-    if width is None:
-        from repro.graph.fast import fast_visibility_graph_csr
-
-        probe = fast_visibility_graph_csr(np.linspace(0.0, 1.0, 8))
-        width = len(
-            graph_feature_dict(
-                probe,
-                include_stats=config.include_stats,
-                include_extended=config.include_extended,
-            )
-        )
-        _WIDTH_CACHE[key] = width
-    return width
-
-
 def feature_layout_width(window: int, config: FeatureConfig) -> int:
     """Features a window of ``window`` points extracts under ``config``.
 
-    Cheap (no extraction): scale count is arithmetic, the per-graph
-    layout is constant and probed once per feature mode.  Used by the
-    serving tier to reject a stream window whose layout cannot match
-    the model's fitted feature width *before* any points flow.
+    Cheap (no extraction): scale count is arithmetic and the per-graph
+    layout is constant per feature mode.  Used by the serving tier to
+    reject a stream window, or a classify series, whose layout cannot
+    match the model's fitted feature width *before* any extraction.
     """
     plan = scale_plan(window, config)
-    return len(plan) * len(config.graph_types()) * _per_graph_width(config)
+    per_graph = len(graph_feature_labels(config.include_stats, config.include_extended))
+    return len(plan) * len(config.graph_types()) * per_graph
 
 
 class _PhaseClock:
@@ -432,7 +411,7 @@ class StreamingFeatureExtractor:
         if not state.streamable:
             self.full_builds_ += 1
             graphs = _build_scale_graphs(
-                np.ascontiguousarray(scaled), graph_types, fast=True
+                [np.ascontiguousarray(scaled)], graph_types, fast=True
             )
             return {
                 kind: (

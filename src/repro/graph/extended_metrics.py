@@ -210,6 +210,21 @@ def average_clustering(graph: Graph | CSRGraph) -> float:
     return average_clustering_from_counts(triangle_counts(graph)[1], graph.degrees())
 
 
+#: Keys of :func:`extended_graph_statistics`, in feature order.
+EXTENDED_FEATURE_NAMES = (
+    "DegEntropy",
+    "DegVariance",
+    "Bipartivity",
+    "EigCentMax",
+    "EigCentMean",
+    "EigCentStd",
+    "CloseMean",
+    "CloseMax",
+    "Transitivity",
+    "AvgClustering",
+)
+
+
 def extended_graph_statistics(graph: Graph | CSRGraph) -> dict[str, float]:
     """All future-work features, keyed by display label.
 
@@ -223,17 +238,18 @@ def extended_graph_statistics(graph: Graph | CSRGraph) -> dict[str, float]:
     adjacency = _adjacency_matrix(graph) if graph.n_edges else None
     ev_max, ev_mean, ev_std = eigenvector_centrality_stats(graph, adjacency=adjacency)
     close_mean, close_max = closeness_centrality_stats(graph)
-    return {
-        "DegEntropy": degree_entropy_from_degrees(degrees),
-        "DegVariance": degree_variance_from_degrees(degrees),
-        "Bipartivity": bipartivity(graph, adjacency=adjacency),
-        "EigCentMax": ev_max,
-        "EigCentMean": ev_mean,
-        "EigCentStd": ev_std,
-        "CloseMean": close_mean,
-        "CloseMax": close_max,
-        "Transitivity": transitivity_from_counts(
+    values = (
+        degree_entropy_from_degrees(degrees),
+        degree_variance_from_degrees(degrees),
+        bipartivity(graph, adjacency=adjacency),
+        ev_max,
+        ev_mean,
+        ev_std,
+        close_mean,
+        close_max,
+        transitivity_from_counts(
             triangle_edge_sum, int(np.sum(degrees * (degrees - 1) // 2))
         ),
-        "AvgClustering": average_clustering_from_counts(vertex_triangles, degrees),
-    }
+        average_clustering_from_counts(vertex_triangles, degrees),
+    )
+    return dict(zip(EXTENDED_FEATURE_NAMES, values))

@@ -8,6 +8,11 @@ builders the feature pipeline runs on:
 * :class:`CSRGraph` — an immutable CSR-style (``indptr``/``indices``)
   graph representation assembled from edge arrays with vectorized NumPy
   (no per-edge Python work); every batch metric runs on it;
+* :class:`CSRUnion` — the disjoint union of several CSR graphs, each
+  member owning a contiguous vertex range, so one vectorized metric pass
+  yields every member's integers as exact segment sums
+  (:func:`segment_sums`); a plain graph is a one-member union
+  (:func:`as_union`);
 * :func:`hvg_edge_array` — the O(n) HVG stack algorithm run over plain
   arrays, collecting edges into flat buffers instead of adjacency sets;
 * :func:`vg_edge_array` — natural-VG divide and conquer driven by a
@@ -221,6 +226,110 @@ def as_csr(graph: Graph | CSRGraph) -> CSRGraph:
     """``graph`` as a :class:`CSRGraph`; a set :class:`Graph` is
     converted once, so metric entry points accept either type."""
     return graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
+
+
+class CSRUnion(CSRGraph):
+    """Disjoint union of CSR graphs (its *members*) in one CSR.
+
+    Member ``j`` owns the contiguous vertex range
+    ``bounds[j]:bounds[j + 1]``; its CSR entries, and its upper-triangle
+    edges in row order, are contiguous too.  A per-vertex or per-edge
+    integer array over the union therefore reduces to per-member totals
+    by exact segment sums (:func:`segment_sums`), which is how the batch
+    metrics count every member in one vectorized pass.  Members may be
+    empty (``bounds[j] == bounds[j + 1]``).
+    """
+
+    __slots__ = ("bounds",)
+
+    def __init__(
+        self,
+        n_vertices: int,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        bounds: np.ndarray,
+    ):
+        super().__init__(n_vertices, indptr, indices)
+        if bounds.size < 2 or bounds[0] != 0 or bounds[-1] != n_vertices:
+            raise ValueError(f"bounds must run from 0 to {n_vertices}, got {bounds}")
+        self.bounds = bounds
+
+    @classmethod
+    def single(cls, graph: CSRGraph) -> "CSRUnion":
+        """``graph`` as a one-member union (shares its arrays)."""
+        n = graph.n_vertices
+        return cls(n, graph.indptr, graph.indices, np.array([0, n], dtype=np.int64))
+
+    @classmethod
+    def of(cls, graphs: Sequence[CSRGraph]) -> "CSRUnion":
+        """The disjoint union of ``graphs``, members in the given order."""
+        if len(graphs) == 1:
+            return cls.single(graphs[0])
+        if not graphs:
+            raise ValueError("a union needs at least one member")
+        bounds = np.zeros(len(graphs) + 1, dtype=np.int64)
+        np.cumsum([g.n_vertices for g in graphs], out=bounds[1:])
+        entries = np.cumsum([0] + [g.indices.size for g in graphs])
+        indptr = np.concatenate(
+            [np.zeros(1, dtype=np.int64)]
+            + [g.indptr[1:] + e for g, e in zip(graphs, entries.tolist())]
+        )
+        indices = np.concatenate(
+            [g.indices + v for g, v in zip(graphs, bounds.tolist())]
+        )
+        return cls(int(bounds[-1]), indptr, indices, bounds)
+
+    @property
+    def n_members(self) -> int:
+        """Number of member graphs."""
+        return self.bounds.size - 1
+
+    def select(self, first: int, stop: int) -> "CSRUnion":
+        """The union of members ``first..stop-1`` (a contiguous block;
+        the union itself when that is every member)."""
+        if first == 0 and stop == self.n_members:
+            return self
+        lo, hi = int(self.bounds[first]), int(self.bounds[stop])
+        start, end = int(self.indptr[lo]), int(self.indptr[hi])
+        return CSRUnion(
+            hi - lo,
+            self.indptr[lo : hi + 1] - start,
+            self.indices[start:end] - lo,
+            self.bounds[first : stop + 1] - lo,
+        )
+
+    def members(self) -> list[CSRGraph]:
+        """Every member as a standalone :class:`CSRGraph`."""
+        out = []
+        for j in range(self.n_members):
+            block = self.select(j, j + 1)
+            out.append(CSRGraph(block.n_vertices, block.indptr, block.indices))
+        return out
+
+    def __repr__(self) -> str:
+        return (
+            f"CSRUnion(n_members={self.n_members}, n_vertices={self.n_vertices}, "
+            f"n_edges={self.n_edges})"
+        )
+
+
+def as_union(graph: Graph | CSRGraph) -> CSRUnion:
+    """``graph`` as a :class:`CSRUnion`: a union is returned as is, any
+    other graph becomes a one-member union."""
+    return graph if isinstance(graph, CSRUnion) else CSRUnion.single(as_csr(graph))
+
+
+def segment_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Sums of ``values[..., bounds[j]:bounds[j + 1]]`` along the last
+    axis, one per segment.
+
+    Prefix sums in the array's own dtype, so ``int64`` (or Python-int
+    ``object``) inputs sum exactly, and empty segments give 0 (unlike
+    ``np.add.reduceat``).
+    """
+    prefix = np.zeros(values.shape[:-1] + (values.shape[-1] + 1,), dtype=values.dtype)
+    np.cumsum(values, axis=-1, out=prefix[..., 1:])
+    return prefix[..., bounds[1:]] - prefix[..., bounds[:-1]]
 
 
 def _cartesian_max_tree(

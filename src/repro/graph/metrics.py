@@ -11,6 +11,9 @@ Everything here is intentionally O(|V|) or O(|E|):
 
 All run on :class:`~repro.graph.fast.CSRGraph` arrays (a set ``Graph`` is
 converted once at entry); HVGs skip the peel (:func:`hvg_degeneracy`).
+Given a :class:`~repro.graph.fast.CSRUnion`, :func:`degeneracy` and
+:func:`graph_statistics` return one result per member from one pass over
+the union; any other graph is a one-member union.
 """
 
 from __future__ import annotations
@@ -18,7 +21,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.adjacency import Graph
-from repro.graph.fast import CSRGraph, as_csr
+from repro.graph.fast import CSRGraph, CSRUnion, as_csr, as_union, segment_sums
+
+#: Keys of :func:`graph_statistics`, in feature order.
+STAT_KEYS = (
+    "density",
+    "kcore",
+    "assortativity",
+    "degree_max",
+    "degree_min",
+    "degree_mean",
+)
 
 
 def density_from_counts(n: int, m: int) -> float:
@@ -34,41 +47,56 @@ def density(graph: Graph | CSRGraph) -> float:
     return density_from_counts(graph.n_vertices, graph.n_edges)
 
 
-def degeneracy(graph: Graph | CSRGraph) -> int:
+def degeneracy(graph: Graph | CSRGraph) -> int | list[int]:
     """Largest K for which ``graph`` has a non-empty K-core.
 
     O(|V| + |E|) bucket-queue peel over the CSR rows in plain Python
-    lists: repeatedly remove a minimum-degree vertex; the answer is the
-    largest degree seen at removal time.  A vertex is re-queued in its
-    new bucket when its degree drops, and stale entries are skipped.
+    lists: repeatedly remove a minimum-degree vertex; the running maximum
+    of the degrees seen at removal time is the core number of the
+    removed vertex.  A vertex is re-queued in its new bucket when its
+    degree drops, and stale entries are skipped.
+
+    A :class:`CSRUnion` is peeled once as a whole: core numbers are
+    per connected component, so each member's degeneracy is the largest
+    core number among its vertices, returned as a list.  Any other graph
+    is a one-member union and returns its degeneracy.
     """
-    csr = as_csr(graph)
-    n = csr.n_vertices
-    if n == 0:
-        return 0
-    indptr, indices = csr.indptr.tolist(), csr.indices.tolist()
-    degree = csr.degrees().tolist()
-    buckets: list[list[int]] = [[] for _ in range(max(degree) + 1)]
-    for v, d in enumerate(degree):
-        buckets[d].append(v)
-    removed = [False] * n
-    best = d = 0
-    for _ in range(n):
-        while True:
-            while not buckets[d]:
-                d += 1
-            v = buckets[d].pop()
-            if degree[v] == d and not removed[v]:
-                break
-        removed[v] = True
-        best = max(best, d)
-        for u in indices[indptr[v] : indptr[v + 1]]:
-            if not removed[u]:
-                degree[u] -= 1
-                buckets[degree[u]].append(u)
-        # Removing v lowers each neighbour's degree by one at most.
-        d = max(d - 1, 0)
-    return best
+    union = as_union(graph)
+    n = union.n_vertices
+    core = [0] * n
+    if n:
+        indptr, indices = union.indptr.tolist(), union.indices.tolist()
+        # A removed vertex has degree -1, so it never matches a bucket
+        # again and is never decremented.
+        degree = union.degrees().tolist()
+        buckets: list[list[int]] = [[] for _ in range(max(degree) + 1)]
+        for v, d in enumerate(degree):
+            buckets[d].append(v)
+        best = d = 0
+        for _ in range(n):
+            while True:
+                bucket = buckets[d]
+                if bucket:
+                    v = bucket.pop()
+                    if degree[v] == d:
+                        break
+                else:
+                    d += 1
+            degree[v] = -1
+            if d > best:
+                best = d
+            core[v] = best
+            for u in indices[indptr[v] : indptr[v + 1]]:
+                du = degree[u]
+                if du > 0:
+                    degree[u] = du - 1
+                    buckets[du - 1].append(u)
+            # Removing v lowers each neighbour's degree by one at most.
+            if d:
+                d -= 1
+    bounds = union.bounds.tolist()
+    result = [max(core[lo:hi], default=0) for lo, hi in zip(bounds, bounds[1:])]
+    return result if isinstance(graph, CSRUnion) else result[0]
 
 
 def hvg_degeneracy(n: int, m: int) -> int:
@@ -167,20 +195,48 @@ def degree_statistics(graph: Graph | CSRGraph) -> tuple[float, float, float]:
 
 def graph_statistics(
     graph: Graph | CSRGraph, *, horizontal: bool = False
-) -> dict[str, float]:
+) -> dict[str, float] | list[tuple[float, ...]]:
     """All non-motif statistical features used by the paper, by name.
 
     ``horizontal`` declares ``graph`` a horizontal visibility graph, whose
     k-core comes from :func:`hvg_degeneracy` instead of a peel.
+
+    A :class:`CSRUnion` yields one tuple per member, its values in
+    :data:`STAT_KEYS` order.  The integer inputs of every member (vertex
+    and edge counts, degree moments) are exact segment sums over the
+    union, and the float finals run per member through the same
+    reductions as for a single graph (:func:`density_from_counts`,
+    :func:`assortativity_from_sums`,
+    :func:`degree_statistics_from_degrees`).  Any other graph is a
+    one-member union and yields a dict keyed by :data:`STAT_KEYS`.
     """
-    csr = as_csr(graph)
-    n, m = csr.n_vertices, csr.n_edges
-    d_max, d_min, d_mean = degree_statistics_from_degrees(csr.degrees())
-    return {
-        "density": density_from_counts(n, m),
-        "kcore": float(hvg_degeneracy(n, m) if horizontal else degeneracy(csr)),
-        "assortativity": assortativity_coefficient(csr),
-        "degree_max": d_max,
-        "degree_min": d_min,
-        "degree_mean": d_mean,
-    }
+    union = as_union(graph)
+    bounds = union.bounds
+    degrees = union.degrees()
+    entry_bounds = union.indptr[bounds]
+    sizes = np.diff(bounds).tolist()
+    edges = (np.diff(entry_bounds) // 2).tolist()
+    if horizontal:
+        kcores = [hvg_degeneracy(n, m) for n, m in zip(sizes, edges)]
+    else:
+        kcores = degeneracy(union)
+    # Degree moments: int64 unless sum_v deg_v^3 (which also bounds
+    # sum_e deg_u deg_v) could overflow it, then exact Python ints.
+    max_degree = int(degrees.max()) if degrees.size else 0
+    exact = degrees if max_degree**3 * union.n_vertices < 2**63 else degrees.astype(object)
+    d2, d3 = segment_sums(np.stack([exact * exact, exact * exact * exact]), bounds).tolist()
+    e_prod = segment_sums(
+        np.repeat(exact, degrees) * exact[union.indices], entry_bounds
+    ).tolist()
+    rows = []
+    bound_list = bounds.tolist()
+    for j, (n, m) in enumerate(zip(sizes, edges)):
+        rows.append(
+            (
+                density_from_counts(n, m),
+                float(kcores[j]),
+                assortativity_from_sums(m, d2[j], d3[j], e_prod[j] // 2),
+                *degree_statistics_from_degrees(degrees[bound_list[j] : bound_list[j + 1]]),
+            )
+        )
+    return rows if isinstance(graph, CSRUnion) else dict(zip(STAT_KEYS, rows[0]))

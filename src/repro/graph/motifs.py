@@ -9,6 +9,9 @@ disconnected — follows from closed-form combinatorial identities.  The
 identities are validated against brute-force enumeration in the tests.
 Counting runs on :class:`~repro.graph.fast.CSRGraph` arrays; a set
 :class:`~repro.graph.adjacency.Graph` argument is converted once at entry.
+Given a :class:`~repro.graph.fast.CSRUnion`, :func:`count_motifs` counts
+every member in one vectorized pass per block of members (see
+:data:`_UNION_WEDGES`) and returns one :class:`MotifCounts` per member.
 
 Motif identifiers follow Table 1 of the paper:
 
@@ -27,13 +30,15 @@ M46   4-path
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 from math import comb
+from operator import attrgetter
 
 import numpy as np
 
 from repro.graph.adjacency import Graph
-from repro.graph.fast import CSRGraph, as_csr
+from repro.graph.fast import CSRGraph, CSRUnion, as_union, segment_sums
 
 CONNECTED_MOTIFS_2 = ("m21",)
 DISCONNECTED_MOTIFS_2 = ("m22",)
@@ -97,32 +102,57 @@ class MotifCounts:
 
     def as_dict(self) -> dict[str, int]:
         """All counts keyed by motif identifier."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(zip(_FIELDS, _field_values(self)))
 
-    def probability_distributions(self) -> dict[str, float]:
-        """Motif probability distributions (Def. 3.4), normalised per group.
+    def probabilities(self) -> tuple[float, ...]:
+        """Motif probability distributions (Def. 3.4) in field order.
 
         Within each of the five size/connectivity groups the counts are
         divided by the group total, so each group forms a probability
         distribution.  Empty groups yield zero probabilities.
         """
-        counts = self.as_dict()
-        out: dict[str, float] = {}
-        for group in MOTIF_GROUPS:
-            total = sum(counts[key] for key in group)
-            for key in group:
-                out[key] = counts[key] / total if total > 0 else 0.0
-        return out
+        values = _field_values(self)
+        out: list[float] = []
+        for lo, hi in _GROUP_SPANS:
+            total = sum(values[lo:hi])
+            if total > 0:
+                for count in values[lo:hi]:
+                    out.append(count / total)
+            else:
+                out.extend([0.0] * (hi - lo))
+        return tuple(out)
+
+    def probability_distributions(self) -> dict[str, float]:
+        """:meth:`probabilities` keyed by motif identifier."""
+        return dict(zip(_FIELDS, self.probabilities()))
 
     def total_sets(self, size: int) -> int:
         """Sum of counts over all motifs of the given size."""
-        keys = {
-            2: CONNECTED_MOTIFS_2 + DISCONNECTED_MOTIFS_2,
-            3: CONNECTED_MOTIFS_3 + DISCONNECTED_MOTIFS_3,
-            4: CONNECTED_MOTIFS_4 + DISCONNECTED_MOTIFS_4,
-        }[size]
-        counts = self.as_dict()
-        return sum(counts[key] for key in keys)
+        lo, hi = _SIZE_SPANS[size]
+        return sum(_field_values(self)[lo:hi])
+
+
+#: Field names in declaration order, and a getter returning all counts
+#: as one tuple (cheaper per call than ``dataclasses.fields``).
+_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(MotifCounts))
+_field_values = attrgetter(*_FIELDS)
+assert _FIELDS == tuple(MOTIF_NAMES)
+
+
+def _span(keys: tuple[str, ...]) -> tuple[int, int]:
+    lo = _FIELDS.index(keys[0])
+    assert _FIELDS[lo : lo + len(keys)] == keys, "groups are contiguous fields"
+    return lo, lo + len(keys)
+
+
+#: ``(lo, hi)`` field ranges of the normalisation groups and of each
+#: motif size.
+_GROUP_SPANS = tuple(_span(group) for group in MOTIF_GROUPS)
+_SIZE_SPANS = {
+    2: _span(CONNECTED_MOTIFS_2 + DISCONNECTED_MOTIFS_2),
+    3: _span(CONNECTED_MOTIFS_3 + DISCONNECTED_MOTIFS_3),
+    4: _span(CONNECTED_MOTIFS_4 + DISCONNECTED_MOTIFS_4),
+}
 
 
 @dataclass(frozen=True)
@@ -239,8 +269,22 @@ def motifs_from_primitives(p: MotifPrimitives) -> MotifCounts:
 #: Above this many wedges (neighbour pairs) the vectorized counting path
 #: would allocate large intermediate arrays (several int64 arrays of this
 #: length); fall back to per-edge loops over a set :class:`Graph`, which
-#: are slower but O(1) extra memory per step.
+#: are slower but O(1) extra memory per step.  The budget is per graph:
+#: union members are only counted together while their wedges sum to at
+#: most this (and :data:`_UNION_WEDGES`).
 _MAX_VECTOR_WEDGES = 2_000_000
+
+#: Members of a :class:`CSRUnion` are counted in one vectorized pass
+#: while their summed wedge count stays at most this; a member above it
+#: runs alone.  Joining small graphs saves per-call overhead, but a pass
+#: over a larger block only adds sort and search work.  On random-walk
+#: series a length-128 VG has ~5k-8k wedges and its four scales ~10k-12k
+#: together, so they count as one block; a length-1024 VG has ~100k-200k
+#: and runs alone while its small scales join.  Counting the VG and HVG
+#: unions of a series with limits from 4k to 128k read within noise of
+#: each other at lengths 128-2700; every member alone was 1.5x slower at
+#: length 128, and one block per series 1.1x-1.4x slower at 2700.
+_UNION_WEDGES = 16_000
 
 
 def _pairs_in_runs(run_end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -255,53 +299,80 @@ def _pairs_in_runs(run_end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, first + offsets + 1
 
 
-def _is_edge(directed_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Membership of ``keys`` (``u * n + v``) in the sorted, non-empty
-    CSR keys."""
-    positions = np.minimum(np.searchsorted(directed_keys, keys), directed_keys.size - 1)
-    return directed_keys[positions] == keys
+def _is_edge(edge_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Membership of ``keys`` (``u * n + v``, ``u < v``) in the sorted,
+    non-empty edge keys."""
+    positions = np.minimum(np.searchsorted(edge_keys, keys), edge_keys.size - 1)
+    return edge_keys[positions] == keys
 
 
-def _triangle_substrate(csr: CSRGraph) -> tuple[np.ndarray, np.ndarray, int]:
-    """Edge-centric substrate for triangle / 4-cycle counting.
+#: The common neighbours of every edge, as ``(centers, first)``: the
+#: wedge centres grouped by their endpoint pair, and per edge the index
+#: in ``centers`` of its first common neighbour (its ``tri`` common
+#: neighbours follow in ascending order).
+_CommonNeighbours = tuple[np.ndarray, np.ndarray]
+
+
+def _triangle_substrate(
+    union: CSRUnion,
+) -> tuple[np.ndarray, np.ndarray, list[int], _CommonNeighbours | None]:
+    """Edge-centric substrate for triangle / 4-cycle / 4-clique counting.
 
     Enumerates every *wedge* (unordered neighbour pair of some vertex)
-    straight from the sorted CSR rows and aggregates them into
-    codegrees: for each vertex pair ``(a, b)`` the number of common
-    neighbours.  Returns ``(edges, tri, paired)``: the ``(m, 2)`` edge
-    array, its per-edge triangle counts (an edge's codegree) and the
-    number of distinct 2-path pairs (twice the non-induced 4-cycles).
-    When the wedge count is large enough that the intermediate arrays
-    would dominate memory, the loop substitute computes the same values.
+    straight from the sorted CSR rows and groups them by endpoint pair
+    into codegrees: for each vertex pair ``(a, b)`` the number of common
+    neighbours.  Returns ``(edges, tri, paired, common)``: the ``(m, 2)``
+    edge array, its per-edge triangle counts (an edge's codegree), per
+    member the number of distinct 2-path pairs (twice the non-induced
+    4-cycles), and the edges' common neighbours
+    (:data:`_CommonNeighbours`).  When the wedge count is large enough
+    that the intermediate arrays would dominate memory, the loop
+    substitute computes the same counts and ``common`` is ``None``.
     """
-    n = csr.n_vertices
-    degrees = csr.degrees()
+    n = union.n_vertices
+    degrees = union.degrees()
     n_wedges = int(np.sum(degrees * (degrees - 1) // 2))
     if n_wedges > _MAX_VECTOR_WEDGES:
-        return _loop_pair_counts(csr.to_graph())
+        edges, tri, pairs_at = _loop_pair_counts(union.to_graph())
+        return edges, tri, segment_sums(pairs_at, union.bounds).tolist(), None
     src = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    dst = csr.indices
+    dst = union.indices
     upper = src < dst
     edges = np.column_stack([src[upper], dst[upper]])
     if n_wedges == 0:
-        return edges, np.zeros(edges.shape[0], dtype=np.int64), 0
+        no_wedge = np.zeros(edges.shape[0], dtype=np.int64)
+        no_centers = np.empty(0, dtype=np.int64)
+        return edges, no_wedge, [0] * union.n_members, (no_centers, no_wedge)
     # Within each row every position pairs with the positions after it,
-    # giving (a, b) with a < b.
-    first, second = _pairs_in_runs(csr.indptr[1:][src])
+    # giving (a, b) with a < b around the row's vertex.  A stable sort by
+    # pair keeps each pair's centres ascending.
+    first, second = _pairs_in_runs(union.indptr[1:][src])
     keys = dst[first] * np.int64(n) + dst[second]
-    unique_keys, codegree = np.unique(keys, return_counts=True)
-    paired = int(np.sum(codegree * (codegree - 1) // 2))
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    centers = src[first][order]
+    new_pair = np.empty(keys.size, dtype=bool)
+    new_pair[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new_pair[1:])
+    starts = np.flatnonzero(new_pair)
+    unique_keys = keys[starts]
+    codegree = np.diff(starts, append=keys.size)
+    # Keys sort by their smaller vertex, so each member's pairs are one
+    # contiguous run of the unique keys.
+    key_bounds = np.searchsorted(unique_keys, union.bounds * np.int64(n))
+    paired = segment_sums(codegree * (codegree - 1) // 2, key_bounds).tolist()
     edge_keys = edges[:, 0] * np.int64(n) + edges[:, 1]
     positions = np.minimum(
         np.searchsorted(unique_keys, edge_keys), unique_keys.size - 1
     )
     tri = np.where(unique_keys[positions] == edge_keys, codegree[positions], 0)
-    return edges, tri.astype(np.int64), paired
+    return edges, tri, paired, (centers, starts[positions])
 
 
-def _loop_pair_counts(graph: Graph) -> tuple[np.ndarray, np.ndarray, int]:
+def _loop_pair_counts(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The over-budget substitute for :func:`_triangle_substrate`: the
-    same substrate by per-edge loops over adjacency sets."""
+    same substrate by per-edge loops over adjacency sets, with the 2-path
+    pairs of each vertex pair ``(a, b)``, ``a < b``, booked at ``a``."""
     edges = graph.edge_array()
     tri = np.zeros(edges.shape[0], dtype=np.int64)
     for idx, (u, v) in enumerate(edges.tolist()):
@@ -314,8 +385,10 @@ def _loop_pair_counts(graph: Graph) -> tuple[np.ndarray, np.ndarray, int]:
             for b in nbrs[i + 1 :]:
                 key = (a, b)
                 codegree[key] = codegree.get(key, 0) + 1
-    paired = sum(c * (c - 1) // 2 for c in codegree.values())
-    return edges, tri, paired
+    pairs_at = [0] * graph.n_vertices
+    for (a, _), c in codegree.items():
+        pairs_at[a] += c * (c - 1) // 2
+    return edges, tri, np.asarray(pairs_at, dtype=np.int64)
 
 
 def _vertex_triangles(edges: np.ndarray, tri: np.ndarray, n: int) -> np.ndarray:
@@ -333,50 +406,96 @@ def triangle_counts(graph: Graph | CSRGraph) -> tuple[int, np.ndarray]:
     """``(sum over edges of tri_e, triangles per vertex)`` — the exact
     integers behind transitivity (three per triangle) and local
     clustering."""
-    csr = as_csr(graph)
-    edges, tri, _ = _triangle_substrate(csr)
-    return int(tri.sum()), _vertex_triangles(edges, tri, csr.n_vertices)
+    union = as_union(graph)
+    edges, tri, _, _ = _triangle_substrate(union)
+    return int(tri.sum()), _vertex_triangles(edges, tri, union.n_vertices)
 
 
-def _count_four_cliques(csr: CSRGraph, edges: np.ndarray, tri: np.ndarray) -> int:
-    """Count 4-cliques, each once at its two smallest vertices: for every
-    candidate edge ``(u, v)``, ``u < v``, the adjacent pairs among the
-    common neighbours above ``v``.  Every edge of a 4-clique has at
-    least two triangles, so the ``tri >= 2`` edges suffice as candidates.
+def _count_four_cliques(
+    union: CSRUnion,
+    edges: np.ndarray,
+    tri: np.ndarray,
+    common: _CommonNeighbours | None,
+) -> list[int]:
+    """Count 4-cliques per member, each once at its two smallest
+    vertices: for every candidate edge ``(u, v)``, ``u < v``, the
+    adjacent pairs among the common neighbours above ``v``.  Every edge
+    of a 4-clique has at least two triangles, so the ``tri >= 2`` edges
+    suffice as candidates.
 
-    Vectorized over the CSR rows: the candidates' head rows, filtered to
-    vertices above the tail that the tail also sees, give the common
-    neighbours (ascending, grouped by candidate), and their within-group
-    pairs are looked up among the CSR keys.  Over the wedge budget the
-    loop runs on adjacency sets.
+    Vectorized over the substrate's common-neighbour runs: each
+    candidate's run, filtered to vertices above its tail, is ascending,
+    and its within-run pairs are looked up among the edge keys.  The
+    pairs of consecutive candidates are checked in chunks of about
+    ``_MAX_VECTOR_WEDGES``, so a graph under the wedge budget never
+    leaves the vectorized path.  Without the runs (the substrate's loop
+    path) the loop runs on adjacency sets.
     """
     keep = tri >= 2
-    heads, tails, tri = edges[keep, 0], edges[keep, 1], tri[keep]
-    head_degrees = np.diff(csr.indptr)[heads]
-    budget = max(int(head_degrees.sum()), int(np.sum(tri * (tri - 1) // 2)))
-    if budget > _MAX_VECTOR_WEDGES:
-        graph = csr.to_graph()
-        total = 0
-        for u, v in zip(heads.tolist(), tails.tolist()):
-            common = sorted(graph.adjacency(u) & graph.adjacency(v))
-            above = [w for w in common if w > v]
+    tails, counts = edges[keep, 1], tri[keep]
+    if common is None:
+        graph = union.to_graph()
+        bounds = union.bounds.tolist()
+        totals = [0] * union.n_members
+        for u, v in zip(edges[keep, 0].tolist(), tails.tolist()):
+            common_uv = sorted(graph.adjacency(u) & graph.adjacency(v))
+            above = [w for w in common_uv if w > v]
             for i, w in enumerate(above):
-                total += len(graph.adjacency(w).intersection(above[i + 1 :]))
-        return total
-    if not heads.size:
-        return 0
-    n = np.int64(csr.n_vertices)
-    directed_keys = np.repeat(np.arange(n), np.diff(csr.indptr)) * n + csr.indices
-    group = np.repeat(np.arange(heads.size), head_degrees)
-    nbrs = csr.concatenated_rows(heads)
-    above = (nbrs > tails[group]) & _is_edge(directed_keys, tails[group] * n + nbrs)
+                totals[bisect_right(bounds, u) - 1] += len(
+                    graph.adjacency(w).intersection(above[i + 1 :])
+                )
+        return totals
+    totals = np.zeros(union.n_members, dtype=np.int64)
+    if not tails.size:
+        return totals.tolist()
+    centers, first_common = common
+    starts = first_common[keep]
+    run_offsets = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+    nbrs = centers[np.repeat(starts, counts) + run_offsets]
+    group = np.repeat(np.arange(counts.size), counts)
+    above = nbrs > tails[group]
     nbrs, group = nbrs[above], group[above]
-    run_end = np.cumsum(np.bincount(group, minlength=heads.size))[group]
-    first, second = _pairs_in_runs(run_end)
-    return int(np.count_nonzero(_is_edge(directed_keys, nbrs[first] * n + nbrs[second])))
+    sizes = np.bincount(group, minlength=counts.size)
+    run_start = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=run_start[1:])
+    # Chunk boundaries (as positions in ``nbrs``) between candidates,
+    # about every _MAX_VECTOR_WEDGES pairs; one candidate's pairs never
+    # exceed its graph's wedge count, which is within the budget.
+    pair_totals = np.cumsum(sizes * (sizes - 1) // 2)
+    chunk = max(_MAX_VECTOR_WEDGES, 1)
+    cuts = np.searchsorted(
+        pair_totals, np.arange(chunk, int(pair_totals[-1]), chunk), side="right"
+    )
+    positions = [0, *run_start[cuts].tolist(), nbrs.size]
+    run_end = run_start[1:][group]
+    n = np.int64(union.n_vertices)
+    edge_keys = edges[:, 0] * n + edges[:, 1]
+    for lo, hi in zip(positions, positions[1:]):
+        first, second = _pairs_in_runs(run_end[lo:hi] - lo)
+        low, high = nbrs[lo:hi][first], nbrs[lo:hi][second]
+        hits = low[_is_edge(edge_keys, low * n + high)]
+        owner = np.searchsorted(union.bounds, hits, side="right") - 1
+        totals += np.bincount(owner, minlength=union.n_members)
+    return totals.tolist()
 
 
-def count_motifs(graph: Graph | CSRGraph, *, horizontal: bool = False) -> MotifCounts:
+def _wedge_blocks(member_wedges: list[int], limit: int) -> list[tuple[int, int]]:
+    """Greedy ``(first, stop)`` runs of consecutive members whose wedges
+    sum to at most ``limit``; a member over ``limit`` forms its own run."""
+    blocks = []
+    first = total = 0
+    for j, wedges in enumerate(member_wedges):
+        if j > first and total + wedges > limit:
+            blocks.append((first, j))
+            first, total = j, 0
+        total += wedges
+    blocks.append((first, len(member_wedges)))
+    return blocks
+
+
+def count_motifs(
+    graph: Graph | CSRGraph, *, horizontal: bool = False
+) -> MotifCounts | list[MotifCounts]:
     """Count every induced motif of size up to four in ``graph``.
 
     Both the triangle/codegree substrate and the 4-clique enumeration
@@ -387,47 +506,101 @@ def count_motifs(graph: Graph | CSRGraph, *, horizontal: bool = False) -> MotifC
     loops on a set :class:`Graph` instead; both paths are integer-exact
     and produce identical counts.
 
-    ``horizontal`` declares ``graph`` a horizontal visibility graph,
+    A :class:`CSRUnion` yields a list with one :class:`MotifCounts` per
+    member, counted in blocks of consecutive members (:func:`_wedge_blocks`
+    under :data:`_UNION_WEDGES`); any other graph is a one-member union
+    and yields its :class:`MotifCounts`.
+
+    ``horizontal`` declares every graph a horizontal visibility graph,
     which has no 4-clique (see :func:`repro.graph.metrics.hvg_degeneracy`),
     so the enumeration is skipped.
     """
-    csr = as_csr(graph)
-    n, m = csr.n_vertices, csr.n_edges
-    degrees = csr.degrees()
-    edges, tri, paired = _triangle_substrate(csr)
-    heads, tails = edges[:, 0], edges[:, 1]
-    k4 = 0 if horizontal else _count_four_cliques(csr, edges, tri)
-    assert paired % 2 == 0, "each 4-cycle has exactly two diagonals"
-    vertex_tri = _vertex_triangles(edges, tri, n)
+    union = as_union(graph)
+    degrees = union.degrees()
+    member_wedges = segment_sums(degrees * (degrees - 1) // 2, union.bounds)
+    limit = min(_UNION_WEDGES, _MAX_VECTOR_WEDGES)
+    counts: list[MotifCounts] = []
+    for first, stop in _wedge_blocks(member_wedges.tolist(), limit):
+        counts += _count_block(union.select(first, stop), horizontal)
+    return counts if isinstance(graph, CSRUnion) else counts[0]
 
-    return motifs_from_primitives(
-        MotifPrimitives(
-            n=n,
-            m=m,
-            triangles=int(tri.sum()) // 3,
-            wedges_noninduced=int(np.sum(degrees * (degrees - 1) // 2)),
-            degree_choose3=int(np.sum(degrees * (degrees - 1) * (degrees - 2) // 6)),
-            k4=k4,
-            cycles_noninduced=paired // 2,
-            tri_pair_sum=int(np.sum(tri * (tri - 1) // 2)),
-            tailed_noninduced=int(np.sum(vertex_tri * (degrees - 2))),
-            paths_noninduced=int(
-                np.sum((degrees[heads] - 1) * (degrees[tails] - 1) - tri)
-            ),
-            m33=int(np.sum(n - (degrees[heads] + degrees[tails] - tri))),
-        )
+
+def _count_block(union: CSRUnion, horizontal: bool) -> list[MotifCounts]:
+    """Motif counts of every member of ``union`` from one substrate pass.
+
+    Every primitive is a sum over vertices or edges, and a member's
+    vertices and (row-ordered) edges are contiguous, so the per-member
+    primitives are exact ``int64`` segment sums, fed member by member
+    to :func:`motifs_from_primitives`.
+    """
+    bounds = union.bounds
+    degrees = union.degrees()
+    edges, tri, paired, common = _triangle_substrate(union)
+    heads, tails = edges[:, 0], edges[:, 1]
+    k4 = (
+        [0] * union.n_members
+        if horizontal
+        else _count_four_cliques(union, edges, tri, common)
     )
+    vertex_tri = _vertex_triangles(edges, tri, union.n_vertices)
+    wedges, choose3, tailed = segment_sums(
+        np.stack(
+            [
+                degrees * (degrees - 1) // 2,
+                degrees * (degrees - 1) * (degrees - 2) // 6,
+                vertex_tri * (degrees - 2),
+            ]
+        ),
+        bounds,
+    ).tolist()
+    head_degrees, tail_degrees = degrees[heads], degrees[tails]
+    edge_bounds = np.searchsorted(heads, bounds)
+    tri_sum, tri_pairs, paths, endpoint_sum = segment_sums(
+        np.stack(
+            [
+                tri,
+                tri * (tri - 1) // 2,
+                (head_degrees - 1) * (tail_degrees - 1) - tri,
+                head_degrees + tail_degrees - tri,
+            ]
+        ),
+        edge_bounds,
+    ).tolist()
+    counts = []
+    for j, (n, m) in enumerate(zip(np.diff(bounds).tolist(), np.diff(edge_bounds).tolist())):
+        assert paired[j] % 2 == 0, "each 4-cycle has exactly two diagonals"
+        counts.append(
+            motifs_from_primitives(
+                MotifPrimitives(
+                    n=n,
+                    m=m,
+                    triangles=tri_sum[j] // 3,
+                    wedges_noninduced=wedges[j],
+                    degree_choose3=choose3[j],
+                    k4=k4[j],
+                    cycles_noninduced=paired[j] // 2,
+                    tri_pair_sum=tri_pairs[j],
+                    tailed_noninduced=tailed[j],
+                    paths_noninduced=paths[j],
+                    m33=n * m - endpoint_sum[j],
+                )
+            )
+        )
+    return counts
 
 
 def _validate(counts: MotifCounts, n: int) -> None:
     """Internal consistency checks: counts are non-negative and every
     k-subset of vertices is classified exactly once."""
-    for key, value in counts.as_dict().items():
-        if value < 0:
-            raise AssertionError(f"negative motif count {key}={value}")
-    if counts.total_sets(3) != comb(n, 3):
+    values = _field_values(counts)
+    if min(values) < 0:
+        key, value = next((k, v) for k, v in zip(_FIELDS, values) if v < 0)
+        raise AssertionError(f"negative motif count {key}={value}")
+    lo, hi = _SIZE_SPANS[3]
+    if sum(values[lo:hi]) != comb(n, 3):
         raise AssertionError("size-3 motif counts do not partition all 3-sets")
-    if counts.total_sets(4) != comb(n, 4):
+    lo, hi = _SIZE_SPANS[4]
+    if sum(values[lo:hi]) != comb(n, 4):
         raise AssertionError("size-4 motif counts do not partition all 4-sets")
 
 

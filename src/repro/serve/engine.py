@@ -37,6 +37,7 @@ import numpy as np
 from repro.core.batch import series_cache_key
 from repro.core.config import FeatureConfig
 from repro.core.pipeline import MVGClassifier
+from repro.core.streaming import feature_layout_width
 
 #: ``classify`` results: ``(label, {class_label: probability})``.
 ClassifyResult = tuple[Any, dict[str, float]]
@@ -289,18 +290,20 @@ class InferenceEngine:
         by_length: dict[int, list[int]] = {}
         for indices in pending.values():
             by_length.setdefault(arrays[indices[0]].size, []).append(indices[0])
-        for length, reps in by_length.items():
+        # The layout width is arithmetic: reject a series of another
+        # length before extracting anything.
+        if self._expected_features is not None:
+            for length in by_length:
+                width = feature_layout_width(length, self._config)
+                if width != self._expected_features:
+                    raise ValueError(
+                        f"series of length {length} produce {width} "
+                        f"features, but model {self.name!r} was fitted on a "
+                        f"layout of {self._expected_features}; send series of "
+                        "the training length"
+                    )
+        for reps in by_length.values():
             matrix = self._extractor.transform(np.stack([arrays[i] for i in reps]))
-            if (
-                self._expected_features is not None
-                and matrix.shape[1] != self._expected_features
-            ):
-                raise ValueError(
-                    f"series of length {length} produce {matrix.shape[1]} "
-                    f"features, but model {self.name!r} was fitted on a layout "
-                    f"of {self._expected_features}; send series of the "
-                    "training length"
-                )
             for rep, row in zip(reps, matrix):
                 self._cache_put(keys[rep], row)
                 for i in pending[keys[rep]]:

@@ -95,10 +95,17 @@ class TestInferenceEngine:
             assert stats["feature_cache_hits"] == 0
             assert stats["feature_cache_entries"] == 0
 
-    def test_wrong_length_series_rejected(self, mvg_setup, engine):
+    def test_wrong_length_series_rejected(self, mvg_setup, engine, monkeypatch):
         # A different series length changes the multiscale feature
         # layout; decoding it with the fitted booster would be garbage.
+        # The width is arithmetic, so the series is rejected before any
+        # extraction (a long series would otherwise hold the engine).
         _, X_test = mvg_setup
+
+        def refuse(X):
+            raise AssertionError("wrong-length series reached extraction")
+
+        monkeypatch.setattr(engine._extractor, "transform", refuse)
         with pytest.raises(ValueError, match="training length"):
             engine.classify(X_test[0][:48])
 

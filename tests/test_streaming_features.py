@@ -133,6 +133,23 @@ class TestPlanAndLayout:
                 assert feature_layout_width(window, config) == vector.size
 
 
+@pytest.mark.parametrize("column", sorted(HEURISTIC_COLUMNS))
+def test_feature_layout_width_is_the_extracted_width(column):
+    """The serving tier rejects a series by this arithmetic width before
+    extracting it, so it must never disagree with extraction."""
+    config = HEURISTIC_COLUMNS[column]
+    for n in range(4, 301):
+        series = np.sin(np.arange(n) / 3.0)
+        try:
+            width = feature_layout_width(n, config)
+        except ValueError:
+            with pytest.raises(ValueError):
+                extract_feature_vector(series, config)
+            continue
+        vector, names = extract_feature_vector(series, config)
+        assert width == vector.size == len(names), n
+
+
 class TestApi:
     def test_push_many_and_window_values(self):
         extractor = StreamingFeatureExtractor(8)
