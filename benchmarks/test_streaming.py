@@ -30,6 +30,7 @@ Run with ``pytest benchmarks/test_streaming.py -m bench``.
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,23 @@ def _per_tick(fn, stream: np.ndarray, warm_ticks: int, ticks: int, rounds: int) 
             fn(t)
         best = min(best, (time.perf_counter() - t0) / ticks)
     return best
+
+
+def _session_heap_bytes(window: int, ticks: int) -> int:
+    """Python heap (tracemalloc) held by one ``mvg:G`` extractor fed a
+    random walk to a full window plus ``ticks`` ticks."""
+    stream = _random_walk(window + ticks, seed=0)
+    tracemalloc.start()
+    try:
+        extractor = StreamingFeatureExtractor(window, FeatureConfig())
+        for x in stream:
+            extractor.push(x)
+            if extractor.filled:
+                extractor.features()
+        heap, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return heap
 
 
 def test_streaming_graph_maintenance_vs_rebuild(artifact_dir):
@@ -174,6 +192,9 @@ def test_streaming_feature_pipeline(artifact_dir):
         "phase_metrics_ms_per_tick": round(
             phase_totals["metrics"] / phase_ticks[0] * 1e3, 4
         ),
+        # Bytes per session at the serving tier's window 256, every phase
+        # slot warm (32 ticks) in full runs.
+        "mvg_session_heap_bytes": _session_heap_bytes(256, pick(400, 16)),
     }
     # Schema guard runs in smoke mode too: CI catches a renamed or
     # dropped field without paying for the full-size measurement.
@@ -184,6 +205,7 @@ def test_streaming_feature_pipeline(artifact_dir):
         "phase_metrics_ms_per_tick",
     ):
         assert field in section and isinstance(section[field], float)
+    assert isinstance(section["mvg_session_heap_bytes"], int)
     merge_json(artifact_dir, "BENCH_streaming", {"feature_pipeline": section})
     if not SMOKE:
         assert speedup >= FEATURE_SPEEDUP_FLOOR, section

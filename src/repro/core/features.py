@@ -55,25 +55,6 @@ def graph_feature_labels(include_stats: bool, include_extended: bool) -> tuple[s
     return labels
 
 
-def assemble_feature_dict(
-    motifs, stats: dict[str, float] | None, extended: dict[str, float] | None
-) -> dict[str, float]:
-    """Labelled feature dict from already-computed metric values.
-
-    The assembly point of the streaming path
-    (:class:`repro.core.streaming.StreamingFeatureExtractor`), which
-    feeds it values from its delta-maintained metric banks; the labels
-    and their order are those of :func:`graph_feature_labels`, which the
-    batch path writes its rows under.
-    """
-    out = dict(zip(_MOTIF_LABELS, motifs.probabilities()))
-    if stats is not None:
-        out.update({_STAT_LABELS[key]: value for key, value in stats.items()})
-    if extended is not None:
-        out.update(extended)
-    return out
-
-
 def _fill_graph_rows(
     out: np.ndarray,
     union: CSRUnion,

@@ -43,19 +43,22 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from repro.core.config import FeatureConfig
 from repro.core.features import (
     _build_scale_graphs,
-    assemble_feature_dict,
-    graph_feature_dict,
+    _fill_graph_rows,
+    feature_layout,
     graph_feature_labels,
 )
 from repro.core.multiscale import paa
 from repro.graph.incremental import SlidingGraphWindow
 from repro.graph.incremental_metrics import IncrementalMetricBank
+from repro.graph.metrics import STAT_KEYS
+from repro.graph.motifs import MOTIF_NAMES
 
 __all__ = [
     "SlidingWindowBuffer",
@@ -294,7 +297,14 @@ class StreamingFeatureExtractor:
             self._ring_row = slab.acquire(2 * self.window)
             self._ring = SlidingWindowBuffer(self.window, backing=self._ring_row)
         self._phase_clock = _PhaseClock()
-        self.feature_names_: list[str] | None = None
+        config = self.config
+        self.feature_names_ = list(feature_layout(config, len(self._plan)))
+        #: ``(scale, graph type, feature)``: the shape of a tick's row.
+        self._rows_shape = (
+            len(self._plan),
+            len(config.graph_types()),
+            len(graph_feature_labels(config.include_stats, config.include_extended)),
+        )
         #: Introspection: slots advanced incrementally vs full scale
         #: rebuilds (the fallback path) over this extractor's lifetime.
         self.incremental_ticks_ = 0
@@ -360,12 +370,11 @@ class StreamingFeatureExtractor:
         """
         window = self._ring.view()  # raises until the window fills
         start = self._ring.count - self.window
-        graph_types = self.config.graph_types()
         clock = self._phase_clock
         clock.applied = 0.0
         t0 = clock.now()
-        sources = [
-            self._scale_sources(
+        fillers = [
+            self._advance_scale(
                 state,
                 window if state.scale == 0 else paa(window, state.length),
                 start,
@@ -373,16 +382,9 @@ class StreamingFeatureExtractor:
             for state in self._scales
         ]
         t1 = clock.now()
-        values: list[float] = []
-        names: list[str] = []
-        for state, scale_sources in zip(self._scales, sources):
-            prefix_scale = f"T{state.scale}"
-            for graph_type in graph_types:
-                features = scale_sources[graph_type]()
-                prefix = f"{prefix_scale} {graph_type.upper()}"
-                for label, value in features.items():
-                    names.append(f"{prefix} {label}")
-                    values.append(value)
+        rows = np.empty(self._rows_shape, dtype=np.float64)
+        for out, fill in zip(rows, fillers):
+            fill(out)
         t2 = clock.now()
         # Delta folding ran inside the maintenance pushes; reassign its
         # share so the split reads graph-upkeep vs metric work.
@@ -391,39 +393,41 @@ class StreamingFeatureExtractor:
             "metrics": (t2 - t1) + clock.applied,
         }
         self.features_served_ += 1
-        if self.feature_names_ is None:
-            self.feature_names_ = names
-        return np.asarray(values, dtype=np.float64)
+        return rows.ravel()
 
-    def _scale_sources(
+    def _advance_scale(
         self, state: _ScaleState, scaled: np.ndarray, start: int
-    ) -> dict:
-        """Feature-dict thunks per graph type for the window at ``start``.
+    ) -> Callable[[np.ndarray], None]:
+        """Bring one scale's graphs to the window at ``start`` and return
+        the function that writes their features into the scale's rows
+        (one row per graph type, in :func:`graph_feature_labels` order).
 
         Streamable scales advance the phase slot matching the window's
         block alignment; its metric banks fold the resulting edge deltas
-        as they happen, so the thunks only derive final values — no
-        graph materialisation, no batch recomputation.  Non-streamable
-        scales rebuild the scale's graphs and fall back to the batch
-        metric functions (same values, recomputed).
+        as they happen, so the rows only need final values — no graph
+        materialisation, no batch recomputation.  Non-streamable scales
+        rebuild the scale's graphs and fall back to the batch metric
+        functions (same values, recomputed).
         """
-        graph_types = self.config.graph_types()
+        config = self.config
+        graph_types = config.graph_types()
         if not state.streamable:
             self.full_builds_ += 1
             graphs = _build_scale_graphs(
                 [np.ascontiguousarray(scaled)], graph_types, fast=True
             )
-            return {
-                kind: (
-                    lambda g=graphs[kind], kind=kind: graph_feature_dict(
-                        g,
-                        include_stats=self.config.include_stats,
-                        include_extended=self.config.include_extended,
+
+            def fill(out: np.ndarray) -> None:
+                for position, kind in enumerate(graph_types):
+                    _fill_graph_rows(
+                        out[position : position + 1],
+                        graphs[kind],
                         horizontal=kind == "hvg",
+                        include_stats=config.include_stats,
+                        include_extended=config.include_extended,
                     )
-                )
-                for kind in graph_types
-            }
+
+            return fill
         block = state.block
         phase = start % block
         slot = state.slots.get(phase)
@@ -438,10 +442,13 @@ class StreamingFeatureExtractor:
             slot.graphs.push(scaled[(slot.next_start - start) // block])
             slot.next_start += block
         self.incremental_ticks_ += 1
-        return {
-            kind: (lambda bank=slot.banks[kind]: self._bank_features(bank))
-            for kind in graph_types
-        }
+        banks = [slot.banks[kind] for kind in graph_types]
+
+        def fill(out: np.ndarray) -> None:
+            for row, bank in zip(out, banks):
+                self._fill_bank_row(row, bank)
+
+        return fill
 
     def _new_slot(self, state: _ScaleState, start: int) -> _ScaleSlot:
         """A phase slot with one metric bank per graph kind, subscribed
@@ -456,10 +463,14 @@ class StreamingFeatureExtractor:
             slot.banks[kind] = IncrementalMetricBank(svg, phase_clock=self._phase_clock)
         return slot
 
-    def _bank_features(self, bank: IncrementalMetricBank) -> dict[str, float]:
-        """One graph's feature dict from its delta-maintained bank —
-        the streaming twin of :func:`~repro.core.features.graph_feature_dict`."""
-        motifs = bank.motifs()
-        stats = bank.statistics() if self.config.include_stats else None
-        extended = bank.extended() if self.config.include_extended else None
-        return assemble_feature_dict(motifs, stats, extended)
+    def _fill_bank_row(self, row: np.ndarray, bank: IncrementalMetricBank) -> None:
+        """Write one graph's features from its delta-maintained bank into
+        ``row`` — the streaming twin of
+        :func:`~repro.core.features._fill_graph_rows`."""
+        column = len(MOTIF_NAMES)
+        row[:column] = bank.motifs().probabilities()
+        if self.config.include_stats:
+            row[column : column + len(STAT_KEYS)] = tuple(bank.statistics().values())
+            column += len(STAT_KEYS)
+        if self.config.include_extended:
+            row[column:] = tuple(bank.extended().values())

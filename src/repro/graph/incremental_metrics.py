@@ -21,9 +21,10 @@ delta stream the sliding structures emit:
   tested on every prefix and window in
   ``tests/test_incremental_metrics_property.py``.
 * :class:`MotifState` — the one edge-delta accumulator: vertex and edge
-  counts, degree moments, edge degree products and the triangle and
-  codegree tables.  Motif counts, density, assortativity, transitivity
-  and clustering all derive from it.
+  counts, degree moments, edge degree products, per-vertex triangle
+  counts and the codegree and edge-triangle pair sums.  Motif counts,
+  density, assortativity, transitivity and clustering all derive from
+  it.
 * :class:`KCoreState` — the degeneracy of a VG (see below).
 * :class:`IncrementalMetricBank` — per-graph bundle of one motif
   accumulator plus a VG k-core state.  It subscribes to a
@@ -34,8 +35,11 @@ delta stream the sliding structures emit:
 
 Cost model per tick (one evict + one push): every accumulator update is
 local to the changed vertex's neighbourhood — O(degree) set/dict work
-for the degree moments and triangle/codegree tables, O(degree^2) for the
-4-clique increments — versus the batch layer's full O(n + m·d) sweep.
+for the degree moments and per-vertex triangles, one set intersection
+per neighbour for the codegree and edge-triangle sums (read off the
+adjacency sets, so no per-pair or per-edge table is kept), O(degree^2)
+for the 4-clique increments — versus the batch layer's full O(n + m·d)
+sweep.
 Degeneracy is the one metric without a cheap local delta.  On an HVG it
 is a closed form in the vertex/edge counts
 (:func:`~repro.graph.metrics.hvg_degeneracy`); on a VG
@@ -113,17 +117,48 @@ class MetricState(Protocol):
     def value(self): ...
 
 
+def _neighbourhood_sums(
+    adj: dict[int, set[int]], au: set[int], aw: set[int]
+) -> tuple[int, int]:
+    """What an edge ``(u, w)`` adds to the edge degree-product and
+    codegree-pair sums, read with the edge absent (``au``/``aw`` are the
+    endpoints' neighbour sets).
+
+    Every edge at ``u`` (resp. ``w``) has its ``u``-side degree raised by
+    one: the first sum is the neighbours' degrees.  ``u`` becomes a new
+    common neighbour of ``(w, x)`` for every neighbour ``x`` of ``u``,
+    and symmetrically, and ``C(c + 1, 2) - C(c, 2) = c``: the second sum
+    is those pairs' codegrees.
+    """
+    degrees = paired = 0
+    for x in au:  # repro: allow[determinism] exact integer sum, order-free
+        ax = adj[x]
+        degrees += len(ax)
+        paired += len(aw & ax)
+    for y in aw:  # repro: allow[determinism] exact integer sum, order-free
+        ay = adj[y]
+        degrees += len(ay)
+        paired += len(au & ay)
+    return degrees, paired
+
+
 class MotifState:
     """All motif primitives of :class:`~repro.graph.motifs.MotifPrimitives`
     as running accumulators under single-edge updates.
 
     Per edge ``(u, w)`` the update is neighbourhood-local: degree-moment
-    deltas are closed forms in the endpoint degrees, the codegree table
-    (non-induced 4-cycle numerator) shifts only for pairs through ``u``
-    or ``w``, and the triangle tables (per-edge ``tri_e``, per-vertex
-    ``tri_v``) shift only on the common neighbourhood — which also
-    yields the new 4-cliques by direct enumeration, exactly as the batch
-    counter does per edge.  ``value()`` hands the primitives to
+    deltas are closed forms in the endpoint degrees.  Only pairs through
+    ``u`` or ``w`` change codegree, by one each, so the 4-cycle sum
+    ``sum C(codeg, 2)`` moves by ``sum_{x in N(u)} |N(w) & N(x)|`` plus
+    the symmetric term.  Only edges to the common neighbourhood
+    ``N(u) & N(w)`` change triangle count, so ``sum_e C(tri_e, 2)``
+    moves by ``C(t, 2)`` for the edge itself plus ``|N(u) & N(c)| +
+    |N(w) & N(c)|`` per common neighbour ``c``.  Every codegree and edge
+    triangle count is a set intersection of the kept adjacency, read
+    with the edge absent (before an add, after a remove), so no per-pair
+    or per-edge table is stored.  The per-vertex triangles ``tri_v`` are
+    kept, and the common neighbourhood also yields the new 4-cliques by
+    direct enumeration, exactly as the batch counter does per edge.  ``value()`` hands the primitives to
     :func:`~repro.graph.motifs.motifs_from_primitives`, the identical
     closed-form derivation the batch path uses, so equal primitives give
     equal counts in exact integers (and
@@ -134,8 +169,6 @@ class MotifState:
     __slots__ = (
         "_adj",
         "_tri_v",
-        "_tri_e",
-        "_codeg",
         "_n",
         "_m",
         "_t",
@@ -155,10 +188,6 @@ class MotifState:
         self._adj: dict[int, set[int]] = {}
         #: Triangles through each vertex (absent == 0).
         self._tri_v: dict[int, int] = {}
-        #: Triangles through each edge, keyed ``(min, max)`` (absent == 0).
-        self._tri_e: dict[tuple[int, int], int] = {}
-        #: Common-neighbour counts per vertex pair (absent == 0).
-        self._codeg: dict[tuple[int, int], int] = {}
         self._n = 0
         self._m = 0
         self._t = 0  # triangles
@@ -195,56 +224,33 @@ class MotifState:
         # Degree moments: deg(u): du -> du + 1, deg(w): dw -> dw + 1.
         self._w += du + dw
         self._deg_c3 += du * (du - 1) // 2 + dw * (dw - 1) // 2
-        # Every edge at u (resp. w) has its u-side degree raised by one,
-        # and the new edge contributes its own endpoint product.
-        s = 0
-        for y in au:  # repro: allow[determinism] exact integer sum, order-free
-            s += len(adj[y])
-        for y in aw:  # repro: allow[determinism] exact integer sum, order-free
-            s += len(adj[y])
+        # The new edge contributes its own endpoint product.
+        s, paired = _neighbourhood_sums(adj, au, aw)
         self._e_prod += s + (du + 1) * (dw + 1)
+        self._paired += paired
         # tri_v * deg: the endpoint degrees rose with tri_v unchanged so far.
         self._td += tv.get(u, 0) + tv.get(w, 0)
-        # Codegrees: u becomes a new common neighbour of (w, x) for every
-        # prior neighbour x of u, and symmetrically.  C(c+1,2) - C(c,2) = c.
-        codeg = self._codeg
-        for x in au:  # repro: allow[determinism] exact integer sum, order-free
-            key = (w, x) if w < x else (x, w)
-            c = codeg.get(key, 0)
-            self._paired += c
-            codeg[key] = c + 1
-        for y in aw:  # repro: allow[determinism] exact integer sum, order-free
-            key = (u, y) if u < y else (y, u)
-            c = codeg.get(key, 0)
-            self._paired += c
-            codeg[key] = c + 1
         # Triangles closed by the new edge: one per common neighbour.
         common = au & aw
         t = len(common)
         if t:
             self._t += t
-            tri_e = self._tri_e
-            tri_e[(u, w) if u < w else (w, u)] = t
-            self._tri_pair += t * (t - 1) // 2
+            # The new edge carries t triangles; each edge (u, c) and
+            # (w, c) gains one on top of its codegree before the edge.
+            tri_pair = t * (t - 1) // 2
             k4 = 0
             clist = sorted(common)
             for idx, c in enumerate(clist):
-                key = (u, c) if u < c else (c, u)
-                e = tri_e.get(key, 0)
-                self._tri_pair += e
-                tri_e[key] = e + 1
-                key = (w, c) if w < c else (c, w)
-                e = tri_e.get(key, 0)
-                self._tri_pair += e
-                tri_e[key] = e + 1
-                tv[c] = tv.get(c, 0) + 1
                 ac = adj[c]
+                tri_pair += len(au & ac) + len(aw & ac)
+                tv[c] = tv.get(c, 0) + 1
                 self._td += len(ac)
                 # New 4-cliques {u, w, c, c2}: adjacent pairs of common
                 # neighbours, enumerated exactly as the batch counter does.
                 for c2 in clist[idx + 1 :]:
                     if c2 in ac:
                         k4 += 1
+            self._tri_pair += tri_pair
             self._k4 += k4
             tv[u] = tv.get(u, 0) + t
             tv[w] = tv.get(w, 0) + t
@@ -255,7 +261,8 @@ class MotifState:
 
     def _remove_edge(self, u: int, w: int) -> None:
         # Exact mirror of _add_edge: after detaching the edge, the local
-        # degrees equal the pre-add values, so every delta negates.
+        # degrees and codegrees equal the pre-add values, so every delta
+        # negates.
         adj = self._adj
         au, aw = adj[u], adj[w]
         au.discard(w)
@@ -267,36 +274,22 @@ class MotifState:
         t = len(common)
         if t:
             self._t -= t
-            tri_e = self._tri_e
-            del tri_e[(u, w) if u < w else (w, u)]
-            self._tri_pair -= t * (t - 1) // 2
+            tri_pair = t * (t - 1) // 2
             k4 = 0
             clist = sorted(common)
             for idx, c in enumerate(clist):
-                key = (u, c) if u < c else (c, u)
-                e = tri_e[key] - 1
-                self._tri_pair -= e
-                if e:
-                    tri_e[key] = e
-                else:
-                    del tri_e[key]
-                key = (w, c) if w < c else (c, w)
-                e = tri_e[key] - 1
-                self._tri_pair -= e
-                if e:
-                    tri_e[key] = e
-                else:
-                    del tri_e[key]
+                ac = adj[c]
+                tri_pair += len(au & ac) + len(aw & ac)
                 nv = tv[c] - 1
                 if nv:
                     tv[c] = nv
                 else:
                     del tv[c]
-                ac = adj[c]
                 self._td -= len(ac)
                 for c2 in clist[idx + 1 :]:
                     if c2 in ac:
                         k4 += 1
+            self._tri_pair -= tri_pair
             self._k4 -= k4
             for v in (u, w):
                 nv = tv[v] - t
@@ -305,31 +298,11 @@ class MotifState:
                 else:
                     del tv[v]
             self._td -= t * (du + 1) + t * (dw + 1)
-        codeg = self._codeg
-        for x in au:  # repro: allow[determinism] exact integer sum, order-free
-            key = (w, x) if w < x else (x, w)
-            c = codeg[key] - 1
-            self._paired -= c
-            if c:
-                codeg[key] = c
-            else:
-                del codeg[key]
-        for y in aw:  # repro: allow[determinism] exact integer sum, order-free
-            key = (u, y) if u < y else (y, u)
-            c = codeg[key] - 1
-            self._paired -= c
-            if c:
-                codeg[key] = c
-            else:
-                del codeg[key]
+        s, paired = _neighbourhood_sums(adj, au, aw)
         self._w -= du + dw
         self._deg_c3 -= du * (du - 1) // 2 + dw * (dw - 1) // 2
-        s = 0
-        for y in au:  # repro: allow[determinism] exact integer sum, order-free
-            s += len(adj[y])
-        for y in aw:  # repro: allow[determinism] exact integer sum, order-free
-            s += len(adj[y])
         self._e_prod -= s + (du + 1) * (dw + 1)
+        self._paired -= paired
         self._td -= tv.get(u, 0) + tv.get(w, 0)
 
     def primitives(self) -> MotifPrimitives:

@@ -11,6 +11,8 @@ PAA block means) are reused: once the graphs agree, the metrics must
 too, and these series exercise the densest/most degenerate windows.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,8 @@ from repro.graph.incremental_metrics import (
     KCoreState,
     MotifState,
 )
-from repro.graph.metrics import degeneracy, graph_statistics
+from repro.graph.adjacency import Graph
+from repro.graph.metrics import assortativity_coefficient, degeneracy, graph_statistics
 from repro.graph.motifs import count_motifs, count_motifs_bruteforce
 
 KINDS = ("vg", "hvg")
@@ -212,8 +215,9 @@ class TestDeltaStream:
         assert seen[4].vertex == 0  # the eviction drops the oldest point
 
     def test_motif_state_survives_out_of_order_edge_removal(self):
-        """Remove deltas drain shared triangle/codegree tables cleanly
-        whatever the neighbour order (a K4 torn down edge by edge)."""
+        """Remove deltas drain the adjacency and triangle tables and every
+        running sum cleanly whatever the neighbour order (a K4 torn down
+        edge by edge)."""
         state = MotifState()
         state.apply(GraphDelta("add", 0, np.array([], dtype=np.int64)))
         state.apply(GraphDelta("add", 1, np.array([0], dtype=np.int64)))
@@ -226,8 +230,84 @@ class TestDeltaStream:
         state.apply(GraphDelta("remove", 2, np.array([1, 3], dtype=np.int64)))
         state.apply(GraphDelta("remove", 1, np.array([3], dtype=np.int64)))
         state.apply(GraphDelta("remove", 3, np.array([], dtype=np.int64)))
-        assert state._tri_e == {} and state._codeg == {} and state._tri_v == {}
+        assert state._adj == {} and state._tri_v == {}
+        primitives = dataclasses.asdict(state.primitives())
+        assert primitives.pop("n") == 0
+        assert set(primitives.values()) == {0}
         assert state.value().m21 == 0
+
+
+def _edge_set(n: int, pairs) -> tuple[int, frozenset]:
+    return n, frozenset((min(u, v), max(u, v)) for u, v in pairs)
+
+
+@st.composite
+def gnp_graphs(draw):
+    n = draw(st.integers(1, 10))
+    p = draw(st.sampled_from((0.2, 0.5, 0.8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    upper = np.argwhere(np.triu(rng.random((n, n)) < p, k=1))
+    return _edge_set(n, upper.tolist())
+
+
+star_graphs = st.integers(2, 12).map(lambda n: _edge_set(n, [(0, v) for v in range(1, n)]))
+
+wheel_graphs = st.integers(4, 12).map(
+    lambda n: _edge_set(
+        n,
+        [(0, v) for v in range(1, n)] + [(v, v % (n - 1) + 1) for v in range(1, n)],
+    )
+)
+
+complete_graphs = st.integers(4, 6).map(
+    lambda n: _edge_set(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+)
+
+target_graphs = st.one_of(gnp_graphs(), star_graphs, wheel_graphs, complete_graphs)
+
+
+class TestBareMotifState:
+    """A :class:`MotifState` driven by hand-made vertex events over graphs
+    no visibility window produces: hubs (stars, wheels) and dense common
+    neighbourhoods (cliques, dense G(n, p)) load the set-intersection
+    sums far more than VG windows do."""
+
+    @given(target_graphs, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_adds_and_removes_match_batch(self, target, data):
+        n, edges = target
+        state = MotifState()
+        ids: dict[int, int] = {}  # present label -> vertex id (never reused)
+        next_id = 0
+        absent = list(range(n))
+        for _ in range(data.draw(st.integers(1, 3 * n + 4), label="events")):
+            if ids and absent:
+                add = data.draw(st.booleans(), label="add")
+            else:
+                add = bool(absent)
+            if add:
+                label = absent.pop(data.draw(st.integers(0, len(absent) - 1)))
+            else:
+                label = data.draw(st.sampled_from(sorted(ids)), label="removed")
+                vertex = ids.pop(label)
+                absent.append(label)
+            present = [x for x in ids if (min(label, x), max(label, x)) in edges]
+            order = data.draw(st.permutations(present), label="neighbour order")
+            if add:
+                ids[label] = vertex = next_id
+                next_id += 1
+            neighbors = np.array([ids[x] for x in order], dtype=np.int64)
+            state.apply(GraphDelta("add" if add else "remove", vertex, neighbors))
+            position = {label: i for i, label in enumerate(sorted(ids))}
+            graph = Graph(
+                len(position),
+                [(position[u], position[v]) for u, v in edges if {u, v} <= ids.keys()],
+            )
+            counts = state.value()
+            assert counts == count_motifs(graph)
+            if len(position) <= 8:
+                assert counts == count_motifs_bruteforce(graph)
+            assert state.assortativity() == assortativity_coefficient(graph)
 
 
 class TestStreamingExtractorEndToEnd:

@@ -6,6 +6,8 @@ including configs whose coarse scales cannot ride the PAA alignment and
 fall back to full builds, and adversarial tie/rounded values.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,6 +187,24 @@ class TestApi:
         expected, _ = extract_feature_vector(stream[-32:], config)
         assert np.array_equal(extractor.features(), expected)
         assert extractor._ring._buf.size == 64
+
+    def test_window_256_session_heap_budget(self):
+        # One mvg:G session at window 256 with every phase slot warm. The
+        # motif banks keep adjacency sets and per-vertex triangle counts
+        # only (codegrees and edge triangles are read off the sets), so
+        # the Python heap reads ~3.6 MB; a per-pair table would double it.
+        stream = np.cumsum(np.random.default_rng(0).standard_normal(256 + 400))
+        tracemalloc.start()
+        try:
+            extractor = StreamingFeatureExtractor(256, FeatureConfig())
+            for x in stream:
+                extractor.push(x)
+                if extractor.filled:
+                    extractor.features()
+            heap, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert heap <= 5_000_000, heap
 
     def test_cache_key_parity_with_batch(self):
         # The streaming window hashes to the same cache identity the
