@@ -62,3 +62,26 @@ def merge_json(directory: Path, name: str, payload: dict) -> None:
     rendered = json.dumps(merged, indent=1, sort_keys=True)
     path.write_text(rendered + "\n")
     emit(directory, name, rendered)
+
+
+def install_reference_builders(monkeypatch) -> None:
+    """Swap the reference builders of :mod:`repro.graph.visibility`
+    (their set graphs converted to CSR) in for the three builder
+    bindings feature extraction looks up on :mod:`repro.graph.fast`.
+
+    This is how a benchmark times extraction on the seed's builders;
+    ``monkeypatch.undo()`` restores the fast builders.
+    """
+    import repro.graph.fast as fast_module
+    from repro.graph.fast import CSRGraph
+    from repro.graph.visibility import horizontal_visibility_graph, visibility_graph
+
+    def vg(series):
+        return CSRGraph.from_graph(visibility_graph(series))
+
+    def hvg(series):
+        return CSRGraph.from_graph(horizontal_visibility_graph(series))
+
+    monkeypatch.setattr(fast_module, "fast_visibility_graph_csr", vg)
+    monkeypatch.setattr(fast_module, "fast_horizontal_visibility_graph_csr", hvg)
+    monkeypatch.setattr(fast_module, "visibility_graphs", lambda series: (vg(series), hvg(series)))

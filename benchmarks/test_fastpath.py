@@ -29,7 +29,7 @@ import time
 
 import numpy as np
 import pytest
-from _bench_utils import SMOKE, emit, pick
+from _bench_utils import SMOKE, emit, install_reference_builders, pick
 
 from repro.core.batch import BatchFeatureExtractor
 from repro.core.config import HEURISTIC_COLUMNS
@@ -120,9 +120,11 @@ def test_fastpath_builders_and_sweep(monkeypatch, artifact_dir):
 
     import repro.graph.motifs as motifs_module
 
-    reference = FeatureExtractor(config, fast=False)
-    # Seed-equivalent pass: reference builders + the original per-edge
-    # motif loops (the vectorized-path guard forced off).
+    reference = FeatureExtractor(config)
+    # Seed-equivalent pass: reference builders (swapped in for the
+    # repro.graph.fast builder bindings) + the original per-edge motif
+    # loops (the vectorized-path guard forced off).
+    install_reference_builders(monkeypatch)
     monkeypatch.setattr(motifs_module, "_MAX_VECTOR_WEDGES", -1)
     t0 = time.perf_counter()
     for _ in range(2):

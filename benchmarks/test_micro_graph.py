@@ -14,7 +14,7 @@
 
 import numpy as np
 import pytest
-from _bench_utils import pick
+from _bench_utils import install_reference_builders, pick
 
 from repro.core.config import FeatureConfig
 from repro.core.features import extract_feature_vector
@@ -128,11 +128,10 @@ def test_feature_extraction_mvg_256(benchmark):
     assert vector.size == len(names)
 
 
-def test_feature_extraction_mvg_256_reference_builders(benchmark):
+def test_feature_extraction_mvg_256_reference_builders(benchmark, monkeypatch):
     series = np.random.default_rng(3).normal(size=N_256)
-    vector, names = benchmark(
-        lambda: extract_feature_vector(series, FeatureConfig(), fast=False)
-    )
+    install_reference_builders(monkeypatch)
+    vector, names = benchmark(extract_feature_vector, series, FeatureConfig())
     assert vector.size == len(names)
 
 

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.config import FeatureConfig
-from repro.core.features import extract_feature_vector
+from repro.core.features import extract_feature_vector, feature_layout_width
 from repro.ioutil import atomic_write_bytes, atomic_write_npy
 
 #: Subdirectory of ``REPRO_RESULTS_DIR`` holding cached feature vectors.
@@ -324,8 +324,6 @@ class BatchFeatureExtractor:
 
     def n_features(self, series_length: int) -> int:
         """Number of features produced for series of ``series_length``."""
-        probe = np.linspace(0.0, 1.0, series_length)
-        vector, _ = extract_feature_vector(probe, self.config)
-        return vector.size
+        return feature_layout_width(series_length, self.config)
 
 

@@ -1,7 +1,9 @@
 """Feature extraction from multiscale visibility graphs (Algorithm 1).
 
 Every series is expanded into its multiscale representation, each scale
-is transformed into a VG and/or HVG, and from every graph we extract
+is transformed into a VG and/or HVG (a :class:`~repro.graph.fast.CSRGraph`
+from :mod:`repro.graph.fast`; no set :class:`Graph` is built on this
+path), and from every graph we extract
 
 * the motif probability distributions (normalised within the five
   size/connectivity groups of Section 3.1), and
@@ -15,6 +17,7 @@ directly comparable.
 
 from __future__ import annotations
 
+import warnings
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +33,6 @@ from repro.graph.extended_metrics import (
 from repro.graph.fast import CSRGraph, CSRUnion, as_union
 from repro.graph.metrics import STAT_KEYS, graph_statistics
 from repro.graph.motifs import MOTIF_NAMES, count_motifs
-from repro.graph.visibility import horizontal_visibility_graph, visibility_graph
 
 #: Display names of the statistical (non-MPD) features.
 _STAT_LABELS = {
@@ -113,21 +115,12 @@ def graph_feature_dict(
     return dict(zip(labels, row[0].tolist()))
 
 
-#: Reference (pure-Python) builders; the fast path must stay
-#: graph-identical to these (enforced by the property tests).
-_REFERENCE_BUILDERS = {
-    "vg": visibility_graph,
-    "hvg": horizontal_visibility_graph,
-}
-
-
 def _build_scale_graphs(
-    scales: Sequence[np.ndarray], graph_types: tuple[str, ...], fast: bool
+    scales: Sequence[np.ndarray], graph_types: tuple[str, ...]
 ) -> dict[str, CSRUnion]:
     """Visibility graphs of every scale of one series, keyed by graph
     type: each value is the :class:`CSRUnion` of that type's graphs, one
-    member per scale in order (``fast=False`` converts the reference
-    builders' graphs).
+    member per scale in order.
 
     When both graph types are requested the combined builder shares the
     Cartesian-tree pass between the VG and the HVG of each scale.  The
@@ -136,12 +129,7 @@ def _build_scale_graphs(
     """
     members: dict[str, list[CSRGraph]] = {kind: [] for kind in graph_types}
     for series in scales:
-        if not fast:
-            for kind in graph_types:
-                members[kind].append(
-                    CSRGraph.from_graph(_REFERENCE_BUILDERS[kind](series))
-                )
-        elif len(graph_types) == 2:
+        if len(graph_types) == 2:
             vg, hvg = fast_builders.visibility_graphs(series)
             members["vg"].append(vg)
             members["hvg"].append(hvg)
@@ -150,6 +138,45 @@ def _build_scale_graphs(
         else:
             members["hvg"].append(fast_builders.fast_horizontal_visibility_graph_csr(series))
     return {kind: CSRUnion.of(graphs) for kind, graphs in members.items()}
+
+
+def scale_plan(window: int, config: FeatureConfig) -> list[tuple[int, int]]:
+    """``(scale_index, scale_length)`` pairs a series (or stream window)
+    of ``window`` points yields under ``config`` — exactly the scales
+    :func:`repro.core.multiscale.multiscale_representation` produces,
+    filtered by the config's scale selection."""
+    if window < 0:
+        raise ValueError(f"window must be >= 0, got {window}")
+    lengths = [(0, window)]
+    length = window // 2
+    while length > config.tau:
+        lengths.append((len(lengths), length))
+        length //= 2
+    if config.scales == "uvg":
+        plan = lengths[:1]
+    elif config.scales == "amvg":
+        plan = lengths[1:]
+    else:  # mvg
+        plan = lengths
+    if not plan:
+        raise ValueError(
+            f"series of length {window} yields no scales for "
+            f"{config.scales!r} with tau={config.tau}"
+        )
+    return plan
+
+
+def feature_layout_width(window: int, config: FeatureConfig) -> int:
+    """Features a series (or stream window) of ``window`` points extracts
+    under ``config``.
+
+    Cheap (no extraction): scale count is arithmetic and the per-graph
+    layout is constant per feature mode.  Used by the serving tier to
+    reject a stream window, or a classify series, whose layout cannot
+    match the model's fitted feature width *before* any extraction.
+    """
+    per_graph = len(graph_feature_labels(config.include_stats, config.include_extended))
+    return len(scale_plan(window, config)) * len(config.graph_types()) * per_graph
 
 
 #: ``(config, scale count) -> feature names``; the layout of a series
@@ -175,40 +202,40 @@ def feature_layout(config: FeatureConfig, n_scales: int) -> tuple[str, ...]:
     return names
 
 
+def _warn_if_fast(fast: bool | None) -> None:
+    """Warn, at the caller's caller, that a passed ``fast=`` is ignored."""
+    if fast is not None:
+        warnings.warn(
+            "fast= is deprecated and ignored: every graph is built by repro.graph.fast",
+            DeprecationWarning,
+            stacklevel=3,
+        )
+
+
 def extract_feature_vector(
-    series: np.ndarray, config: FeatureConfig, *, fast: bool = True
+    series: np.ndarray, config: FeatureConfig, *, fast: bool | None = None
 ) -> tuple[np.ndarray, list[str]]:
     """Feature vector and names for one series under ``config``.
 
     Implements Algorithm 1: build graphs per scale, extract and
-    concatenate features.  The scale set depends on ``config.scales``;
-    scale 0 is the original series.  ``fast=False`` forces the reference
-    graph builders (the outputs are identical either way; only the
-    builder wall-clock differs).  No set :class:`Graph` is built unless
-    a graph exceeds the motif counter's wedge budget.
+    concatenate features.  The scale set depends on ``config.scales``
+    (as in :func:`scale_plan`); scale 0 is the original series.  No set
+    :class:`Graph` is built, not even for a graph over the motif
+    counter's wedge budget.  ``fast`` is deprecated: any value warns.
 
     Each graph type's graphs of all scales form one
     :class:`~repro.graph.fast.CSRUnion`, so the metrics run once per
     type over every scale, and their values go straight into the
     feature row; the names come from :func:`feature_layout`.
     """
+    _warn_if_fast(fast)
     series = np.asarray(series, dtype=np.float64)
     representation = multiscale_representation(series, tau=config.tau)
-    if config.scales == "uvg":
-        scales = representation[:1]
-    elif config.scales == "amvg":
-        scales = representation[1:]
-    else:  # mvg
-        scales = representation
-    if not scales:
-        raise ValueError(
-            f"series of length {series.size} yields no scales for "
-            f"{config.scales!r} with tau={config.tau}"
-        )
+    scales = [representation[index] for index, _ in scale_plan(series.size, config)]
     graph_types = config.graph_types()
     width = len(graph_feature_labels(config.include_stats, config.include_extended))
     rows = np.empty((len(scales), len(graph_types), width), dtype=np.float64)
-    graphs = _build_scale_graphs(scales, graph_types, fast)
+    graphs = _build_scale_graphs(scales, graph_types)
     for position, graph_type in enumerate(graph_types):
         _fill_graph_rows(
             rows[:, position],
@@ -249,17 +276,14 @@ class FeatureExtractor:
 
     Series of equal length produce identical feature layouts; mixed
     lengths are rejected at ``transform`` time because scale counts (and
-    hence columns) would differ.
-
-    ``fast=False`` pins the reference graph builders (useful for
-    benchmarking the fast path against the seed behaviour; outputs are
-    identical).  For multiprocessing fan-out and on-disk caching see
-    :class:`repro.core.batch.BatchFeatureExtractor`.
+    hence columns) would differ.  ``fast`` is deprecated: any value
+    warns once and is ignored.  For multiprocessing fan-out and on-disk
+    caching see :class:`repro.core.batch.BatchFeatureExtractor`.
     """
 
-    def __init__(self, config: FeatureConfig | None = None, fast: bool = True):
+    def __init__(self, config: FeatureConfig | None = None, fast: bool | None = None):
+        _warn_if_fast(fast)
         self.config = config or FeatureConfig()
-        self.fast = fast
         self.feature_names_: list[str] | None = None
 
     def transform(self, X: np.ndarray) -> np.ndarray:
@@ -270,9 +294,7 @@ class FeatureExtractor:
         rows = []
         names: list[str] | None = None
         for series in X:
-            vector, series_names = extract_feature_vector(
-                series, self.config, fast=self.fast
-            )
+            vector, series_names = extract_feature_vector(series, self.config)
             if names is None:
                 names = series_names
             elif names != series_names:
@@ -283,6 +305,4 @@ class FeatureExtractor:
 
     def n_features(self, series_length: int) -> int:
         """Number of features produced for series of ``series_length``."""
-        probe = np.linspace(0.0, 1.0, series_length)
-        vector, _ = extract_feature_vector(probe, self.config)
-        return vector.size
+        return feature_layout_width(series_length, self.config)

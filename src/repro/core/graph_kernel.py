@@ -15,7 +15,7 @@ Weisfeiler–Lehman (WL) subtree kernel:
    maps) classifies the series.
 
 Exposed as :class:`WLVisibilityKernelClassifier` and compared against
-MVG in the ablation benchmark.
+MVG in the ablation benchmark; refinement reads :mod:`repro.graph.fast` CSR rows.
 """
 
 from __future__ import annotations
@@ -27,29 +27,33 @@ import numpy as np
 
 from repro.core.multiscale import multiscale_representation
 from repro.graph.adjacency import Graph
-from repro.graph.visibility import horizontal_visibility_graph, visibility_graph
+from repro.graph.fast import CSRGraph, as_csr, fast_visibility_graph_csr, visibility_graphs
 from repro.ml.base import BaseEstimator, check_X_y
 from repro.ml.linear import LogisticRegression
 
 
 def wl_color_histogram(
-    graph: Graph, n_iterations: int, degree_buckets: int = 8
+    graph: Graph | CSRGraph, n_iterations: int, degree_buckets: int = 8
 ) -> Counter:
     """WL subtree feature map of one graph.
 
     Vertices start from bucketed-degree labels (visibility graphs of
     different series lengths still share the initial vocabulary), then
     ``n_iterations`` rounds of colour refinement follow; the returned
-    counter accumulates every colour seen in every round.
+    counter accumulates every colour seen in every round.  A set
+    :class:`Graph` is converted to CSR once.
     """
+    graph = as_csr(graph)
     n = graph.n_vertices
-    degrees = graph.degrees()
-    max_degree = max(int(degrees.max()), 1) if n else 1
+    degrees = graph.degrees().tolist()
+    max_degree = max(max(degrees), 1) if n else 1
     labels = [
-        f"d{min(int(d) * degree_buckets // (max_degree + 1), degree_buckets - 1)}"
+        f"d{min(d * degree_buckets // (max_degree + 1), degree_buckets - 1)}"
         for d in degrees
     ]
     histogram: Counter = Counter(labels)
+    indptr = graph.indptr.tolist()
+    indices = graph.indices.tolist()
     # Compress the (long) signatures into stable short colour ids.
     # zlib.crc32 (not hash()) keeps colours identical across processes
     # regardless of PYTHONHASHSEED.  One palette is shared by all
@@ -58,14 +62,15 @@ def wl_color_histogram(
     # of being re-hashed and re-allocated each round.
     palette: dict[str, str] = {}
     for _ in range(n_iterations):
-        new_labels = []
-        for u in range(n):
-            neighborhood = sorted(labels[v] for v in graph.adjacency(u))
-            new_labels.append(f"{labels[u]}|{','.join(neighborhood)}")
-        for signature in new_labels:
+        neighbour_labels = [labels[v] for v in indices]
+        signatures = [
+            f"{label}|{','.join(sorted(neighbour_labels[lo:hi]))}"
+            for label, lo, hi in zip(labels, indptr, indptr[1:])
+        ]
+        for signature in signatures:
             if signature not in palette:
                 palette[signature] = f"c{zlib.crc32(signature.encode()):08x}"
-        labels = [palette[s] for s in new_labels]
+        labels = [palette[s] for s in signatures]
         histogram.update(labels)
     return histogram
 
@@ -112,9 +117,10 @@ class WLVisibilityKernelClassifier(BaseEstimator):
         )
         histogram: Counter = Counter()
         for scale_index, scaled in enumerate(scales):
-            graphs = [visibility_graph(scaled)]
             if self.use_hvg:
-                graphs.append(horizontal_visibility_graph(scaled))
+                graphs = visibility_graphs(scaled)
+            else:
+                graphs = (fast_visibility_graph_csr(scaled),)
             for graph_index, graph in enumerate(graphs):
                 colors = wl_color_histogram(graph, self.n_iterations)
                 # Scope colours per (scale, graph type) so a T0-VG colour

@@ -52,7 +52,9 @@ from repro.core.features import (
     _build_scale_graphs,
     _fill_graph_rows,
     feature_layout,
+    feature_layout_width,
     graph_feature_labels,
+    scale_plan,
 )
 from repro.core.multiscale import paa
 from repro.graph.incremental import SlidingGraphWindow
@@ -151,47 +153,6 @@ class SlidingWindowBuffer:
     def values(self) -> np.ndarray:
         """The current window, oldest first (a copy)."""
         return self.view().copy()
-
-
-def scale_plan(window: int, config: FeatureConfig) -> list[tuple[int, int]]:
-    """``(scale_index, scale_length)`` pairs a window of ``window`` points
-    yields under ``config`` — exactly the scales
-    :func:`repro.core.multiscale.multiscale_representation` produces,
-    filtered by the config's scale selection."""
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    lengths = [(0, window)]
-    length = window // 2
-    scale = 1
-    while length > config.tau:
-        lengths.append((scale, length))
-        length //= 2
-        scale += 1
-    if config.scales == "uvg":
-        plan = lengths[:1]
-    elif config.scales == "amvg":
-        plan = lengths[1:]
-    else:  # mvg
-        plan = lengths
-    if not plan:
-        raise ValueError(
-            f"series of length {window} yields no scales for "
-            f"{config.scales!r} with tau={config.tau}"
-        )
-    return plan
-
-
-def feature_layout_width(window: int, config: FeatureConfig) -> int:
-    """Features a window of ``window`` points extracts under ``config``.
-
-    Cheap (no extraction): scale count is arithmetic and the per-graph
-    layout is constant per feature mode.  Used by the serving tier to
-    reject a stream window, or a classify series, whose layout cannot
-    match the model's fitted feature width *before* any extraction.
-    """
-    plan = scale_plan(window, config)
-    per_graph = len(graph_feature_labels(config.include_stats, config.include_extended))
-    return len(plan) * len(config.graph_types()) * per_graph
 
 
 class _PhaseClock:
@@ -413,9 +374,7 @@ class StreamingFeatureExtractor:
         graph_types = config.graph_types()
         if not state.streamable:
             self.full_builds_ += 1
-            graphs = _build_scale_graphs(
-                [np.ascontiguousarray(scaled)], graph_types, fast=True
-            )
+            graphs = _build_scale_graphs([np.ascontiguousarray(scaled)], graph_types)
 
             def fill(out: np.ndarray) -> None:
                 for position, kind in enumerate(graph_types):

@@ -25,8 +25,8 @@ from repro.data.archive import load_archive_dataset
 from repro.experiments.reporting import format_table
 from repro.experiments.table2 import run_table2
 from repro.experiments.table3 import BASELINES, run_table3
+from repro.graph.fast import fast_visibility_graph_csr
 from repro.graph.motifs import CONNECTED_MOTIFS_4, DISCONNECTED_MOTIFS_4, count_motifs
-from repro.graph.visibility import visibility_graph
 from repro.stats.comparison import win_counts
 
 
@@ -42,7 +42,7 @@ def figure2_data(dataset: str = "ArrowHead") -> dict[str, dict[int, dict[str, li
         "disconnected": {},
     }
     for series, label in zip(split.train.X, split.train.y):
-        graph = visibility_graph(series)
+        graph = fast_visibility_graph_csr(series)
         probabilities = count_motifs(graph).probability_distributions()
         label = int(label)
         for kind, keys in (

@@ -2,8 +2,8 @@
 
 The reference builders in :mod:`repro.graph.visibility` are pure Python
 and pay per-edge ``set`` bookkeeping through :class:`Graph.add_edge`;
-they survive as test oracles.  This module holds the graph type and the
-builders the feature pipeline runs on:
+they are test oracles only.  This module holds the graph type and the
+builders every program path runs on:
 
 * :class:`CSRGraph` — an immutable CSR-style (``indptr``/``indices``)
   graph representation assembled from edge arrays with vectorized NumPy
@@ -44,7 +44,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.graph.adjacency import Graph
-from repro.graph.visibility import _as_float_array
 
 #: Pivot sweeps shorter than this run as plain Python loops; longer ones
 #: are vectorized.  Crossover measured on the micro benchmark (NumPy call
@@ -52,6 +51,15 @@ from repro.graph.visibility import _as_float_array
 _VECTOR_SWEEP_MIN = 48
 
 _EMPTY_EDGES = np.empty((0, 2), dtype=np.int64)
+
+
+def _as_float_array(series: Sequence[float]) -> np.ndarray:
+    values = np.asarray(series, dtype=np.float64)
+    if values.ndim != 1:
+        raise ValueError(f"time series must be 1-dimensional, got shape {values.shape}")
+    if values.size and not np.all(np.isfinite(values)):
+        raise ValueError("time series contains NaN or infinite values")
+    return values
 
 
 class CSRGraph:

@@ -31,7 +31,9 @@ M46   4-path
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, fields
+from itertools import combinations
 from math import comb
 from operator import attrgetter
 
@@ -268,10 +270,10 @@ def motifs_from_primitives(p: MotifPrimitives) -> MotifCounts:
 
 #: Above this many wedges (neighbour pairs) the vectorized counting path
 #: would allocate large intermediate arrays (several int64 arrays of this
-#: length); fall back to per-edge loops over a set :class:`Graph`, which
-#: are slower but O(1) extra memory per step.  The budget is per graph:
-#: union members are only counted together while their wedges sum to at
-#: most this (and :data:`_UNION_WEDGES`).
+#: length); fall back to per-edge loops over neighbour sets built from
+#: the CSR rows, which are slower but O(1) extra memory per step.  The
+#: budget is per graph: union members are only counted together while
+#: their wedges sum to at most this (and :data:`_UNION_WEDGES`).
 _MAX_VECTOR_WEDGES = 2_000_000
 
 #: Members of a :class:`CSRUnion` are counted in one vectorized pass
@@ -309,13 +311,14 @@ def _is_edge(edge_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
 #: The common neighbours of every edge, as ``(centers, first)``: the
 #: wedge centres grouped by their endpoint pair, and per edge the index
 #: in ``centers`` of its first common neighbour (its ``tri`` common
-#: neighbours follow in ascending order).
-_CommonNeighbours = tuple[np.ndarray, np.ndarray]
+#: neighbours follow in ascending order).  The loop path has no such
+#: runs and hands on every vertex's neighbour set instead.
+_CommonNeighbours = tuple[np.ndarray, np.ndarray] | list[set[int]]
 
 
 def _triangle_substrate(
     union: CSRUnion,
-) -> tuple[np.ndarray, np.ndarray, list[int], _CommonNeighbours | None]:
+) -> tuple[np.ndarray, np.ndarray, list[int], _CommonNeighbours]:
     """Edge-centric substrate for triangle / 4-cycle / 4-clique counting.
 
     Enumerates every *wedge* (unordered neighbour pair of some vertex)
@@ -327,14 +330,13 @@ def _triangle_substrate(
     4-cycles), and the edges' common neighbours
     (:data:`_CommonNeighbours`).  When the wedge count is large enough
     that the intermediate arrays would dominate memory, the loop
-    substitute computes the same counts and ``common`` is ``None``.
+    substitute (:func:`_loop_pair_counts`) computes the same counts.
     """
     n = union.n_vertices
     degrees = union.degrees()
     n_wedges = int(np.sum(degrees * (degrees - 1) // 2))
     if n_wedges > _MAX_VECTOR_WEDGES:
-        edges, tri, pairs_at = _loop_pair_counts(union.to_graph())
-        return edges, tri, segment_sums(pairs_at, union.bounds).tolist(), None
+        return _loop_pair_counts(union)
     src = np.repeat(np.arange(n, dtype=np.int64), degrees)
     dst = union.indices
     upper = src < dst
@@ -369,26 +371,30 @@ def _triangle_substrate(
     return edges, tri, paired, (centers, starts[positions])
 
 
-def _loop_pair_counts(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _loop_pair_counts(
+    union: CSRUnion,
+) -> tuple[np.ndarray, np.ndarray, list[int], list[set[int]]]:
     """The over-budget substitute for :func:`_triangle_substrate`: the
-    same substrate by per-edge loops over adjacency sets, with the 2-path
-    pairs of each vertex pair ``(a, b)``, ``a < b``, booked at ``a``."""
-    edges = graph.edge_array()
-    tri = np.zeros(edges.shape[0], dtype=np.int64)
-    for idx, (u, v) in enumerate(edges.tolist()):
-        tri[idx] = len(graph.adjacency(u) & graph.adjacency(v))
+    same substrate by per-edge loops over neighbour sets built once from
+    the CSR rows, with the 2-path pairs of each vertex pair ``(a, b)``,
+    ``a < b``, booked at ``a``.  The neighbour sets are returned in place
+    of the common-neighbour runs, for :func:`_count_four_cliques`."""
+    edges = union.edge_array()
+    indptr = union.indptr.tolist()
+    flat = union.indices.tolist()
+    rows = [flat[indptr[u] : indptr[u + 1]] for u in range(union.n_vertices)]
+    neighbours = [set(row) for row in rows]
+    tri = np.array(
+        [len(neighbours[u] & neighbours[v]) for u, v in edges.tolist()], dtype=np.int64
+    )
     # A 4-cycle is a pair of distinct 2-paths between the same endpoints.
-    codegree: dict[tuple[int, int], int] = {}
-    for u in range(graph.n_vertices):
-        nbrs = sorted(graph.adjacency(u))
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1 :]:
-                key = (a, b)
-                codegree[key] = codegree.get(key, 0) + 1
-    pairs_at = [0] * graph.n_vertices
+    # Rows are ascending, so every pair ``(a, b)`` has ``a < b``.
+    codegree = Counter(pair for row in rows for pair in combinations(row, 2))
+    pairs_at = [0] * union.n_vertices
     for (a, _), c in codegree.items():
         pairs_at[a] += c * (c - 1) // 2
-    return edges, tri, np.asarray(pairs_at, dtype=np.int64)
+    paired = segment_sums(np.asarray(pairs_at, dtype=np.int64), union.bounds)
+    return edges, tri, paired.tolist(), neighbours
 
 
 def _vertex_triangles(edges: np.ndarray, tri: np.ndarray, n: int) -> np.ndarray:
@@ -415,7 +421,7 @@ def _count_four_cliques(
     union: CSRUnion,
     edges: np.ndarray,
     tri: np.ndarray,
-    common: _CommonNeighbours | None,
+    common: _CommonNeighbours,
 ) -> list[int]:
     """Count 4-cliques per member, each once at its two smallest
     vertices: for every candidate edge ``(u, v)``, ``u < v``, the
@@ -428,22 +434,19 @@ def _count_four_cliques(
     and its within-run pairs are looked up among the edge keys.  The
     pairs of consecutive candidates are checked in chunks of about
     ``_MAX_VECTOR_WEDGES``, so a graph under the wedge budget never
-    leaves the vectorized path.  Without the runs (the substrate's loop
-    path) the loop runs on adjacency sets.
+    leaves the vectorized path.  Given the loop path's neighbour sets
+    instead of the runs, the same enumeration runs as set loops.
     """
     keep = tri >= 2
     tails, counts = edges[keep, 1], tri[keep]
-    if common is None:
-        graph = union.to_graph()
+    if isinstance(common, list):
         bounds = union.bounds.tolist()
         totals = [0] * union.n_members
         for u, v in zip(edges[keep, 0].tolist(), tails.tolist()):
-            common_uv = sorted(graph.adjacency(u) & graph.adjacency(v))
-            above = [w for w in common_uv if w > v]
+            member = bisect_right(bounds, u) - 1
+            above = sorted(w for w in common[u] & common[v] if w > v)
             for i, w in enumerate(above):
-                totals[bisect_right(bounds, u) - 1] += len(
-                    graph.adjacency(w).intersection(above[i + 1 :])
-                )
+                totals[member] += len(common[w].intersection(above[i + 1 :]))
         return totals
     totals = np.zeros(union.n_members, dtype=np.int64)
     if not tails.size:
@@ -503,8 +506,8 @@ def count_motifs(
     for the wedges plus at most ``O(sum_e tri_e^2)`` for the triangle
     pairs of the ``tri >= 2`` edges, the cost profile PGD reports for its
     exact mode.  Graphs whose intermediates would be too large use per-edge
-    loops on a set :class:`Graph` instead; both paths are integer-exact
-    and produce identical counts.
+    loops on neighbour sets read from the CSR rows instead; both paths
+    are integer-exact and produce identical counts.
 
     A :class:`CSRUnion` yields a list with one :class:`MotifCounts` per
     member, counted in blocks of consecutive members (:func:`_wedge_blocks`

@@ -33,15 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.graph.adjacency import Graph
-
-
-def _as_float_array(series: Sequence[float]) -> np.ndarray:
-    values = np.asarray(series, dtype=np.float64)
-    if values.ndim != 1:
-        raise ValueError(f"time series must be 1-dimensional, got shape {values.shape}")
-    if values.size and not np.all(np.isfinite(values)):
-        raise ValueError("time series contains NaN or infinite values")
-    return values
+from repro.graph.fast import _as_float_array
 
 
 def visibility_graph_naive(series: Sequence[float]) -> Graph:

@@ -239,7 +239,19 @@ class Ledger:
                 str(self.path), timeout=self.timeout, check_same_thread=False
             )
             self._conn.row_factory = sqlite3.Row
-            self._conn.execute("PRAGMA journal_mode=WAL")
+            # On a file still in rollback-journal mode, SQLite refuses the
+            # WAL switch at once ("database is locked", no busy handler)
+            # while another connection holds a write lock: retry until
+            # ``timeout`` runs out.
+            deadline = time.monotonic() + self.timeout
+            while True:
+                try:
+                    self._conn.execute("PRAGMA journal_mode=WAL")
+                    break
+                except sqlite3.OperationalError as exc:
+                    if "locked" not in str(exc) or time.monotonic() >= deadline:
+                        raise
+                time.sleep(0.01)
             self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.execute(f"PRAGMA busy_timeout={int(self.timeout * 1000)}")
             self._migrate(self._conn)

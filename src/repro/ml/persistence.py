@@ -212,14 +212,15 @@ def _params_only_from_dict(cls: type) -> Any:
 def _feature_extractor_to_dict(model: Any) -> dict[str, Any]:
     from dataclasses import asdict
 
-    return {"config": asdict(model.config), "fast": model.fast}
+    return {"config": asdict(model.config)}
 
 
 def _feature_extractor_from_dict(blob: dict[str, Any]) -> Any:
     from repro.core.config import FeatureConfig
     from repro.core.features import FeatureExtractor
 
-    return FeatureExtractor(FeatureConfig(**blob["config"]), fast=blob["fast"])
+    # A ``"fast"`` key (older blobs) selected nothing numerically: ignored.
+    return FeatureExtractor(FeatureConfig(**blob["config"]))
 
 
 def _batch_extractor_to_dict(model: Any) -> dict[str, Any]:

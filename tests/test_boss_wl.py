@@ -1,7 +1,13 @@
 """BOSS ensemble and WL graph-kernel classifier tests."""
 
+import hashlib
+import zlib
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.boss import (
     BOSSEnsembleClassifier,
@@ -13,7 +19,10 @@ from repro.core.graph_kernel import (
     wl_color_histogram,
     wl_kernel_value,
 )
+from repro.data.archive import load_archive_dataset
 from repro.graph import Graph
+from repro.graph.fast import CSRGraph, visibility_graphs
+from repro.graph.visibility import horizontal_visibility_graph, visibility_graph
 
 
 class TestSFA:
@@ -112,6 +121,90 @@ class TestWLColorHistogram:
         assert wl_kernel_value(a, b) == wl_kernel_value(b, a)
         assert wl_kernel_value(a, b) >= 0
         assert wl_kernel_value(a, a) > 0
+
+
+def set_walk_wl_histogram(graph: Graph, n_iterations: int, degree_buckets: int = 8) -> Counter:
+    """WL feature map by walking the adjacency sets of a set
+    :class:`Graph` vertex by vertex: the oracle the CSR refinement of
+    :func:`wl_color_histogram` must reproduce colour for colour."""
+    n = graph.n_vertices
+    degrees = graph.degrees()
+    max_degree = max(int(degrees.max()), 1) if n else 1
+    labels = [
+        f"d{min(int(d) * degree_buckets // (max_degree + 1), degree_buckets - 1)}"
+        for d in degrees
+    ]
+    histogram: Counter = Counter(labels)
+    palette: dict[str, str] = {}
+    for _ in range(n_iterations):
+        new_labels = []
+        for u in range(n):
+            neighborhood = sorted(labels[v] for v in graph.adjacency(u))
+            new_labels.append(f"{labels[u]}|{','.join(neighborhood)}")
+        for signature in new_labels:
+            if signature not in palette:
+                palette[signature] = f"c{zlib.crc32(signature.encode()):08x}"
+        labels = [palette[s] for s in new_labels]
+        histogram.update(labels)
+    return histogram
+
+
+_lengths = st.integers(0, 120)
+wl_series = st.one_of(
+    # Random walks.
+    st.tuples(st.integers(0, 2**32 - 1), _lengths).map(
+        lambda a: np.cumsum(np.random.default_rng(a[0]).standard_normal(a[1]))
+    ),
+    # Tie-heavy series.
+    st.lists(st.integers(0, 3), max_size=120).map(lambda xs: np.asarray(xs, dtype=np.float64)),
+    # Constant series.
+    _lengths.map(np.zeros),
+    # The tiny sizes.
+    st.lists(st.floats(-10, 10, allow_nan=False), max_size=3).map(np.asarray),
+)
+
+
+class TestWLOnCSR:
+    @settings(max_examples=120, deadline=None)
+    @given(series=wl_series, n_iterations=st.integers(0, 3))
+    def test_csr_refinement_equals_set_walk(self, series, n_iterations):
+        vg, hvg = visibility_graphs(series)
+        for csr, reference in (
+            (vg, visibility_graph(series)),
+            (hvg, horizontal_visibility_graph(series)),
+        ):
+            assert CSRGraph.from_graph(reference) == csr
+            expected = set_walk_wl_histogram(reference, n_iterations)
+            assert wl_color_histogram(csr, n_iterations) == expected
+            # A set Graph is accepted and converted at entry.
+            assert wl_color_histogram(reference, n_iterations) == expected
+
+
+#: SHA-256 of ``predict_proba`` (little-endian float64) on the BeetleFly
+#: test split, after fitting on its training split plus the same series
+#: rounded to one decimal (tie-heavy), recorded from the set-graph
+#: implementation that refined over adjacency sets.
+GOLDEN_WL_PROBA = {
+    "default": "abfd2032aa98d2caa2ff2ba9a661131bd212bd3757342a1cf236830d301124ff",
+    "three-rounds-single-scale": "4e833ae17da599f2563b2f63c89ffc03798759781eb8df3e7cc6db119d5f504b",
+    "degrees-only-vg": "bb8c918578dc987df2f2f873350267963bf51aacecae1070a1b335728b025313",
+}
+_WL_PARAMS = {
+    "default": {},
+    "three-rounds-single-scale": {"n_iterations": 3, "multiscale": False},
+    "degrees-only-vg": {"n_iterations": 0, "use_hvg": False},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_WL_PROBA))
+def test_wl_predict_proba_digest(name):
+    split = load_archive_dataset("BeetleFly")
+    X_train = np.concatenate([split.train.X, np.round(split.train.X, 1)])
+    y_train = np.concatenate([split.train.y, split.train.y])
+    model = WLVisibilityKernelClassifier(**_WL_PARAMS[name]).fit(X_train, y_train)
+    proba = np.ascontiguousarray(model.predict_proba(split.test.X), dtype="<f8")
+    assert proba.shape == (split.test.X.shape[0], 2)
+    assert hashlib.sha256(proba.tobytes()).hexdigest() == GOLDEN_WL_PROBA[name]
 
 
 class TestWLClassifier:

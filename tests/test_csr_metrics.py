@@ -189,8 +189,8 @@ class TestCSRMetricsOnArbitraryGraphs:
 
 
 class TestOverBudgetFallback:
-    """``_MAX_VECTOR_WEDGES = -1`` forces the per-edge loops (on a set
-    graph converted from the CSR input); counts must not change."""
+    """``_MAX_VECTOR_WEDGES = -1`` forces the per-edge loops (on
+    neighbour sets read from the CSR rows); counts must not change."""
 
     def _graphs(self):
         rng = np.random.default_rng(9)
@@ -221,6 +221,13 @@ class TestOverBudgetFallback:
 # -- the extraction path never builds a set graph ----------------------------------
 
 
+def refuse_set_graphs(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a set Graph was built on a program path")
+
+    monkeypatch.setattr(adjacency_module.Graph, "__init__", refuse)
+
+
 class TestNoSetGraphOnExtractionPath:
     @pytest.mark.parametrize(
         "config",
@@ -230,10 +237,43 @@ class TestNoSetGraphOnExtractionPath:
     def test_extract_feature_vector_builds_no_graph(self, monkeypatch, config):
         series = np.cumsum(np.random.default_rng(5).standard_normal(128))
         expected, _ = extract_feature_vector(series, config)
-
-        def refuse(self, *args, **kwargs):
-            raise AssertionError("a set Graph was built on the extraction path")
-
-        monkeypatch.setattr(adjacency_module.Graph, "__init__", refuse)
+        refuse_set_graphs(monkeypatch)
         vector, _ = extract_feature_vector(series, config)
         assert np.array_equal(vector, expected)
+
+    def test_over_budget_scales_build_no_graph(self, monkeypatch):
+        """With the wedge budget lowered, the larger scales take the
+        motif counter's loop path, which reads CSR rows too."""
+        series = np.cumsum(np.random.default_rng(6).standard_normal(128))
+        config = FeatureConfig(features="extended")
+        expected, _ = extract_feature_vector(series, config)
+        loops = []
+        original = motifs_module._loop_pair_counts
+        monkeypatch.setattr(motifs_module, "_MAX_VECTOR_WEDGES", 200)
+        monkeypatch.setattr(
+            motifs_module,
+            "_loop_pair_counts",
+            lambda union: loops.append(union.n_vertices) or original(union),
+        )
+        refuse_set_graphs(monkeypatch)
+        vector, _ = extract_feature_vector(series, config)
+        assert np.array_equal(vector, expected)
+        assert 128 in loops  # the T0 VG took the loop
+
+    def test_wl_kernel_builds_no_graph(self, monkeypatch):
+        from repro.core.graph_kernel import WLVisibilityKernelClassifier
+
+        rng = np.random.default_rng(7)
+        X = np.cumsum(rng.standard_normal((6, 64)), axis=1)
+        y = np.arange(6) % 2
+        expected = WLVisibilityKernelClassifier().fit(X, y).predict_proba(X)
+        refuse_set_graphs(monkeypatch)
+        proba = WLVisibilityKernelClassifier().fit(X, y).predict_proba(X)
+        assert np.array_equal(proba, expected)
+
+    def test_figure2_builds_no_graph(self, monkeypatch):
+        from repro.experiments.figures import figure2_data
+
+        expected = figure2_data("BeetleFly")
+        refuse_set_graphs(monkeypatch)
+        assert figure2_data("BeetleFly") == expected

@@ -10,14 +10,17 @@ identical to the serial :class:`repro.core.features.FeatureExtractor`
 for every ``(n_jobs, cache)`` combination.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.graph.fast as fast_module
 from repro.core.batch import BatchFeatureExtractor, series_cache_key
 from repro.core.config import FeatureConfig
-from repro.core.features import FeatureExtractor
+from repro.core.features import FeatureExtractor, extract_feature_vector
 from repro.graph.adjacency import Graph
 from repro.graph.fast import (
     CSRGraph,
@@ -31,9 +34,11 @@ from repro.graph.fast import (
 from repro.graph.visibility import (
     horizontal_visibility_graph,
     horizontal_visibility_graph_naive,
+    visibility_graph,
     visibility_graph_dc,
     visibility_graph_naive,
 )
+from repro.registry import make
 
 # Float series: generic values.
 float_series = st.lists(
@@ -158,6 +163,26 @@ class TestCSRGraph:
             visibility_graphs_batch(X, kind="nope")
 
 
+def install_reference_builders(monkeypatch) -> list[str]:
+    """Replace the CSR builders bound on :mod:`repro.graph.fast` by the
+    reference builders (converted to CSR); returns the list each built
+    graph's kind is appended to."""
+    built: list[str] = []
+
+    def vg(series):
+        built.append("vg")
+        return CSRGraph.from_graph(visibility_graph(series))
+
+    def hvg(series):
+        built.append("hvg")
+        return CSRGraph.from_graph(horizontal_visibility_graph(series))
+
+    monkeypatch.setattr(fast_module, "fast_visibility_graph_csr", vg)
+    monkeypatch.setattr(fast_module, "fast_horizontal_visibility_graph_csr", hvg)
+    monkeypatch.setattr(fast_module, "visibility_graphs", lambda series: (vg(series), hvg(series)))
+    return built
+
+
 class TestBatchExtractorParity:
     """BatchFeatureExtractor == FeatureExtractor, bit for bit."""
 
@@ -214,11 +239,40 @@ class TestBatchExtractorParity:
         assert batch.last_cache_misses_ == 1
         assert np.array_equal(expected, again)
 
+    @pytest.mark.parametrize("graphs", ["both", "vg", "hvg"])
+    def test_reference_builders_give_the_same_matrix(self, dataset, graphs, monkeypatch):
+        """The reference builders, swapped in for the three builder
+        bindings extraction looks up on ``repro.graph.fast``, yield the
+        same feature matrix."""
+        config = FeatureConfig(graphs=graphs)
+        expected = FeatureExtractor(config).transform(dataset)
+        built = install_reference_builders(monkeypatch)
+        assert np.array_equal(FeatureExtractor(config).transform(dataset), expected)
+        assert set(built) == ({"vg", "hvg"} if graphs == "both" else {graphs})
+
     def test_fast_flag_changes_nothing_numerically(self, dataset):
+        """``fast=`` is deprecated: either value warns once per call and
+        selects nothing."""
         config = FeatureConfig()
-        fast = FeatureExtractor(config).transform(dataset)
-        slow = FeatureExtractor(config, fast=False).transform(dataset)
-        assert np.array_equal(fast, slow)
+        expected = FeatureExtractor(config).transform(dataset)
+        vector, names = extract_feature_vector(dataset[0], config)
+        for fast in (False, True):
+            for build in (
+                lambda: FeatureExtractor(config, fast=fast),
+                lambda: make("features", fast=fast),
+            ):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    extractor = build()
+                    result = extractor.transform(dataset)
+                assert [w.category for w in caught] == [DeprecationWarning]
+                assert "fast=" in str(caught[0].message)
+                assert np.array_equal(result, expected)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                again, again_names = extract_feature_vector(dataset[0], config, fast=fast)
+            assert [w.category for w in caught] == [DeprecationWarning]
+            assert np.array_equal(again, vector) and again_names == names
 
     def test_rejects_bad_n_jobs(self):
         with pytest.raises(ValueError):

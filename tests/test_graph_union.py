@@ -124,6 +124,19 @@ class TestUnionEqualsMembers:
         assert count_motifs(set_graph) == count_motifs(as_union(set_graph))[0]
 
 
+def record_loops(monkeypatch) -> list[int]:
+    """Route the motif counter's over-budget loop through a recorder;
+    returns the list each looped union's vertex count is appended to."""
+    looped: list[int] = []
+    original = motifs_module._loop_pair_counts
+    monkeypatch.setattr(
+        motifs_module,
+        "_loop_pair_counts",
+        lambda union: looped.append(union.n_vertices) or original(union),
+    )
+    return looped
+
+
 class TestWedgeBudget:
     def test_members_under_budget_never_build_a_set_graph(self, monkeypatch):
         graphs = [fast_visibility_graph_csr(_walk(seed, 48)) for seed in range(4)]
@@ -133,13 +146,10 @@ class TestWedgeBudget:
         assert sum(wedges) > budget
         expected = [count_motifs(g) for g in graphs]
         monkeypatch.setattr(motifs_module, "_MAX_VECTOR_WEDGES", budget)
-
-        def refuse(self):
-            raise AssertionError("a graph under the wedge budget became a set Graph")
-
-        monkeypatch.setattr(CSRGraph, "to_graph", refuse)
+        looped = record_loops(monkeypatch)
         assert count_motifs(CSRUnion.of(graphs)) == expected
         assert count_motifs(CSRUnion.of(graphs[::-1])) == expected[::-1]
+        assert looped == []
 
     def test_four_clique_pairs_are_chunked_under_the_budget(self, monkeypatch):
         # K16 has 1680 wedges but 1820 common-neighbour pairs to check
@@ -149,23 +159,20 @@ class TestWedgeBudget:
         expected = [count_motifs(g) for g in graphs]
         assert expected[0].m41 == 1820
         monkeypatch.setattr(motifs_module, "_MAX_VECTOR_WEDGES", 1700)
-        monkeypatch.setattr(CSRGraph, "to_graph", lambda self: pytest.fail("set Graph"))
+        looped = record_loops(monkeypatch)
         for graph, counts in zip(graphs, expected):
             assert count_motifs(graph) == counts
         assert count_motifs(CSRUnion.of(graphs[::-1])) == expected[::-1]
+        assert looped == []
 
     def test_over_budget_member_alone_uses_the_loop(self, monkeypatch):
         graphs = [wheel(5), complete(6), star(3)]
         expected = [count_motifs(g) for g in graphs]
-        converted = []
-        original = CSRGraph.to_graph
         monkeypatch.setattr(motifs_module, "_MAX_VECTOR_WEDGES", 40)
-        monkeypatch.setattr(
-            CSRGraph, "to_graph", lambda self: converted.append(self.n_vertices) or original(self)
-        )
+        looped = record_loops(monkeypatch)
         assert count_motifs(CSRUnion.of(graphs)) == expected
         # K6 has 60 wedges: only it leaves the vectorized path.
-        assert converted and set(converted) == {6}
+        assert looped == [6]
 
     def test_blocks_are_greedy_runs(self):
         blocks = motifs_module._wedge_blocks

@@ -54,6 +54,24 @@ class TestMultiProcessWriters:
         finally:
             ledger.close()
 
+    def test_open_waits_out_a_write_lock_on_a_fresh_file(self, tmp_path):
+        """Another connection holds a write lock on a fresh (rollback
+        journal) file.  SQLite refuses the WAL switch at once there,
+        without calling the busy handler, so the open must keep retrying
+        until the holder commits instead of failing."""
+        path = tmp_path / "ledger.db"
+        holder = sqlite3.connect(path, check_same_thread=False)
+        holder.execute("BEGIN IMMEDIATE")
+        release = threading.Timer(0.2, holder.commit)
+        release.start()
+        try:
+            ledger = Ledger(path, timeout=5)
+            assert ledger.record("run", label="after-wait") is not None
+            ledger.close()
+        finally:
+            release.join()
+            holder.close()
+
     def test_threaded_writers_on_one_handle(self, tmp_path):
         ledger = Ledger(tmp_path / "ledger.db")
         errors = []

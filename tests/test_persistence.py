@@ -156,3 +156,30 @@ class TestErrors:
         assert path.exists()
         restored = load_model(path)
         assert np.array_equal(restored.predict(X), model.predict(X))
+
+
+class TestFeatureExtractorBlobs:
+    def test_new_blob_has_no_fast_key(self):
+        from repro.core.config import HEURISTIC_COLUMNS
+        from repro.core.features import FeatureExtractor
+
+        blob = model_to_dict(FeatureExtractor(HEURISTIC_COLUMNS["B"]))
+        assert "fast" not in blob
+        assert roundtrip(FeatureExtractor(HEURISTIC_COLUMNS["B"])).config == HEURISTIC_COLUMNS["B"]
+
+    def test_old_blob_with_fast_key_loads_silently(self):
+        """Blobs written while ``fast=`` selected a builder carry a
+        ``"fast"`` key; it loads, warns nothing, and extracts the same."""
+        import warnings
+        from dataclasses import asdict
+
+        from repro.core.config import FeatureConfig
+        from repro.core.features import FeatureExtractor
+
+        config = FeatureConfig(scales="amvg", graphs="vg")
+        blob = {"version": 1, "kind": "FeatureExtractor", "config": asdict(config), "fast": False}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            restored = model_from_dict(blob)
+        X = np.round(np.random.default_rng(3).normal(size=(3, 64)), 1)
+        assert np.array_equal(restored.transform(X), FeatureExtractor(config).transform(X))
