@@ -91,6 +91,26 @@ def _session_heap_bytes(window: int, ticks: int) -> int:
     return heap
 
 
+def _session_fill_ms(window: int, ticks: int, rounds: int) -> float:
+    """Best-of-``rounds`` milliseconds to create one ``mvg:G`` extractor,
+    fill its window from a random walk and run its first ``ticks + 1``
+    feature ticks: the set-up cost of a new stream session, including
+    the creation of its first phase slots."""
+    stream = _random_walk(window + ticks, seed=3)
+    best = float("inf")
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        extractor = StreamingFeatureExtractor(window, FeatureConfig())
+        for x in stream[:window]:
+            extractor.push(x)
+        extractor.features()
+        for x in stream[window:]:
+            extractor.push(x)
+            extractor.features()
+        best = min(best, time.perf_counter() - t0)
+    return best * 1e3
+
+
 def test_streaming_graph_maintenance_vs_rebuild(artifact_dir):
     stream = _random_walk(WINDOW + (ROUNDS + 1) * TICKS)
 
@@ -195,6 +215,11 @@ def test_streaming_feature_pipeline(artifact_dir):
         # Bytes per session at the serving tier's window 256, every phase
         # slot warm (32 ticks) in full runs.
         "mvg_session_heap_bytes": _session_heap_bytes(256, pick(400, 16)),
+        # Creating, filling and running one window-256 session for 8
+        # ticks (recorded only; no floor).
+        "mvg_session_fill_ms": round(
+            _session_fill_ms(pick(256, 64), pick(8, 2), pick(3, 1)), 3
+        ),
     }
     # Schema guard runs in smoke mode too: CI catches a renamed or
     # dropped field without paying for the full-size measurement.
@@ -203,6 +228,7 @@ def test_streaming_feature_pipeline(artifact_dir):
         "floor",
         "phase_graph_ms_per_tick",
         "phase_metrics_ms_per_tick",
+        "mvg_session_fill_ms",
     ):
         assert field in section and isinstance(section[field], float)
     assert isinstance(section["mvg_session_heap_bytes"], int)

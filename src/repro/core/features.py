@@ -222,6 +222,7 @@ def extract_feature_vector(
     (as in :func:`scale_plan`); scale 0 is the original series.  No set
     :class:`Graph` is built, not even for a graph over the motif
     counter's wedge budget.  ``fast`` is deprecated: any value warns.
+    An empty series raises ``ValueError``.
 
     Each graph type's graphs of all scales form one
     :class:`~repro.graph.fast.CSRUnion`, so the metrics run once per
@@ -230,6 +231,8 @@ def extract_feature_vector(
     """
     _warn_if_fast(fast)
     series = np.asarray(series, dtype=np.float64)
+    if series.size == 0:
+        raise ValueError("cannot extract features from an empty series")
     representation = multiscale_representation(series, tau=config.tau)
     scales = [representation[index] for index, _ in scale_plan(series.size, config)]
     graph_types = config.graph_types()

@@ -32,6 +32,14 @@ it with exactly the edges that change:
   in each neighbour's (ascending) left-neighbour list the evicted
   vertex is the head — eviction advances a per-vertex head pointer
   instead of rewriting lists.
+* **load(values, csr)** — an empty window takes a whole series at once
+  from its batch-built graph: the rows are split at their own vertex
+  into left and right neighbours, and the monotone structure is read
+  off the values (suffix maxima) and the rows (each VG spine vertex's
+  running max slope is its slope to its last neighbour).  The result is
+  the state the pushes would have left, at a fraction of their cost for
+  long windows; subscribers see one ``load`` delta instead of one
+  ``add`` per point.
 
 Per tick (one push + one evict) the work is one O(window) vectorized
 sweep plus O(degree) bookkeeping, versus the batch builder's full
@@ -54,7 +62,11 @@ from collections import deque
 import numpy as np
 
 from repro.graph.adjacency import Graph
-from repro.graph.fast import CSRGraph
+from repro.graph.fast import (
+    CSRGraph,
+    fast_horizontal_visibility_graph_csr,
+    visibility_graphs,
+)
 from repro.graph.incremental_metrics import CLEAR_DELTA, GraphDelta
 
 _EMPTY_ROW = np.empty(0, dtype=np.int64)
@@ -148,7 +160,7 @@ class SlidingVisibilityGraph:
         self._stack: deque[int] = deque()
         self._rmax: dict[int, float] = {}
         #: Delta subscribers (e.g. metric banks), called once per
-        #: push/evict/clear with the :class:`GraphDelta` describing it.
+        #: push/evict/load/clear with the :class:`GraphDelta` describing it.
         self._listeners: list = []
 
     # -- sizes -------------------------------------------------------------
@@ -180,8 +192,8 @@ class SlidingVisibilityGraph:
 
     def subscribe(self, listener) -> None:
         """Register a callable receiving one :class:`GraphDelta` per
-        push (``add``), evict (``remove``) and clear — the edge-delta
-        stream the incremental metric states consume."""
+        push (``add``), evict (``remove``), load and clear — the
+        edge-delta stream the incremental metric states consume."""
         self._listeners.append(listener)
 
     # -- updates -----------------------------------------------------------
@@ -253,6 +265,87 @@ class SlidingVisibilityGraph:
             delta = GraphDelta("remove", i, np.asarray(neighbours, dtype=np.int64))
             for listener in self._listeners:
                 listener(delta)
+
+    def load(self, values, csr: CSRGraph) -> None:
+        """Fill an empty window with ``values`` in one step, given their
+        batch-built graph ``csr`` (:mod:`repro.graph.fast`).
+
+        Leaves the state ``len(values)`` pushes would: the same values,
+        degrees and neighbour lists (each CSR row split at its own
+        vertex into left and right neighbours), and the same monotone
+        structure (:meth:`_load_spine`), so later pushes and evictions
+        emit the same deltas.  Subscribers get one ``load``
+        :class:`GraphDelta` carrying ``csr`` instead of one ``add`` per
+        point.
+        """
+        if self._hi != self._lo:
+            raise ValueError(f"load needs an empty window, this one holds {len(self)} points")
+        values = np.asarray(values, dtype=np.float64)
+        n = values.size
+        if values.ndim != 1 or csr.n_vertices != n:
+            raise ValueError(
+                f"load needs a 1-D series and its graph, got shape {values.shape} "
+                f"and a graph of {csr.n_vertices} vertices"
+            )
+        if self.window is not None and n > self.window:
+            raise ValueError(f"cannot load {n} points into a window of {self.window}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("series values must be finite")
+        if n > self._buf.size:  # unbounded windows only
+            self._resize(n)
+        lo = self._base = self._lo
+        self._hi = lo + n
+        self._buf[:n] = values
+        indptr = csr.indptr
+        degrees = np.diff(indptr)
+        self._deg[:n] = degrees
+        self._m = csr.n_edges
+        owner = np.repeat(np.arange(n), degrees)
+        lefts = np.bincount(owner[csr.indices < owner], minlength=n)
+        starts, ends = indptr[:-1].tolist(), indptr[1:].tolist()
+        splits = (indptr[:-1] + lefts).tolist()
+        flat = csr.indices + lo
+        flat_list = flat.tolist()
+        vertices = range(lo, lo + n)
+        rows = [flat[start:end] for start, end in zip(starts, ends)]
+        self._rows.extend(rows)
+        self._left.update(zip(vertices, [row[:k] for row, k in zip(rows, lefts.tolist())]))
+        self._left_head.update(dict.fromkeys(vertices, 0))
+        self._right.update(zip(vertices, [flat_list[a:b] for a, b in zip(splits, ends)]))
+        self._load_spine(values, csr)
+        if self._listeners:
+            delta = GraphDelta("load", lo, _EMPTY_ROW, csr)
+            for listener in self._listeners:
+                listener(delta)
+
+    def _load_spine(self, values: np.ndarray, csr: CSRGraph) -> None:
+        """The monotone structure pushes of ``values`` leave behind.
+
+        HVG: the strict suffix maxima.  VG: the non-strict suffix
+        maxima, each with its running max slope.  A spine vertex's
+        sweep raises that max at every hit and only there, and the
+        first later point reaching the maximum is a hit, so the max is
+        the slope to its last (right) neighbour, on the floats
+        :meth:`_vg_left_visible` compares; the newest vertex has none
+        yet (``-inf``).
+        """
+        n = values.size
+        if n == 0:
+            return
+        later = np.empty(n)
+        later[-1] = -np.inf
+        later[:-1] = np.maximum.accumulate(values[:0:-1])[::-1]
+        lo = self._lo
+        if self.kind == "hvg":
+            self._stack.extend((np.flatnonzero(values > later) + lo).tolist())
+            return
+        spine = np.flatnonzero(values >= later)
+        self._stack.extend((spine + lo).tolist())
+        inner = spine[:-1]
+        last = csr.indices[csr.indptr[inner + 1] - 1]
+        slopes = (values[last] - values[inner]) / (last - inner)
+        self._rmax.update(zip((inner + lo).tolist(), slopes.tolist()))
+        self._rmax[lo + n - 1] = -np.inf
 
     def clear(self) -> None:
         """Reset to an empty window (global indices keep counting up)."""
@@ -392,22 +485,28 @@ class SlidingVisibilityGraph:
             self._buf[:live] = self._buf[lo_offset : lo_offset + live]
             self._deg[:live] = self._deg[lo_offset : lo_offset + live]
         else:
-            size = max(2 * self._buf.size, live + 1)
-            if self._alloc is None:
-                grown = np.empty(size, dtype=np.float64)
-                grown_deg = np.zeros(size, dtype=np.int64)
-            else:
-                # Only the unbounded (window=None) case ever gets here;
-                # windowed buffers slide in place at fixed capacity.
-                grown = self._alloc.acquire(size, "float64")
-                grown_deg = self._alloc.acquire(size, "int64")
-            grown[:live] = self._buf[lo_offset : lo_offset + live]
-            grown_deg[:live] = self._deg[lo_offset : lo_offset + live]
-            if self._alloc is not None:
-                self._alloc.release(self._buf)
-                self._alloc.release(self._deg)
-            self._buf = grown
-            self._deg = grown_deg
+            self._resize(max(2 * self._buf.size, live + 1))
+        self._base = self._lo
+
+    def _resize(self, size: int) -> None:
+        """Move the live values and degrees into buffers of ``size``."""
+        live = self._hi - self._lo
+        lo_offset = self._lo - self._base
+        if self._alloc is None:
+            grown = np.empty(size, dtype=np.float64)
+            grown_deg = np.zeros(size, dtype=np.int64)
+        else:
+            # Only the unbounded (window=None) case ever gets here;
+            # windowed buffers slide in place at fixed capacity.
+            grown = self._alloc.acquire(size, "float64")
+            grown_deg = self._alloc.acquire(size, "int64")
+        grown[:live] = self._buf[lo_offset : lo_offset + live]
+        grown_deg[:live] = self._deg[lo_offset : lo_offset + live]
+        if self._alloc is not None:
+            self._alloc.release(self._buf)
+            self._alloc.release(self._deg)
+        self._buf = grown
+        self._deg = grown_deg
         self._base = self._lo
 
     def release_buffers(self) -> None:
@@ -466,6 +565,19 @@ class SlidingGraphWindow:
     def push(self, value: float) -> None:
         for graph in self.graphs.values():
             graph.push(value)
+
+    def load(self, values) -> None:
+        """Fill the empty window with ``values`` in one step: one batch
+        build of every kind (:func:`~repro.graph.fast.visibility_graphs`
+        shares the Cartesian-tree pass between VG and HVG), then
+        :meth:`SlidingVisibilityGraph.load` per kind."""
+        if "vg" in self.graphs:
+            vg, hvg = visibility_graphs(values)
+            built = {"vg": vg, "hvg": hvg}
+        else:
+            built = {"hvg": fast_horizontal_visibility_graph_csr(values)}
+        for kind, graph in self.graphs.items():
+            graph.load(values, built[kind])
 
     def evict(self) -> None:
         for graph in self.graphs.values():

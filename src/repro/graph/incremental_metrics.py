@@ -12,9 +12,12 @@ delta stream the sliding structures emit:
 
 * :class:`GraphDelta` — one vertex-level event (``add`` with the edges
   the new point created, ``remove`` with the edges the evicted point
-  owned, or ``clear``).
+  owned, ``load`` with the batch-built graph of a window filled in one
+  step, or ``clear``).
 * :class:`MetricState` — the two-method protocol every state implements:
-  ``apply(delta)`` folds one event into O(degree)-local accumulators,
+  ``apply(delta)`` folds one event into O(degree)-local accumulators
+  (a ``load`` sets them from the batch primitives of the whole graph,
+  exactly the values the equivalent ``add`` sequence would leave),
   ``value()`` derives the metric through the *same* final reduction the
   batch function uses.  Integer metrics are therefore exactly equal and
   derived floats bit-identical to batch, by construction — property
@@ -67,7 +70,7 @@ from repro.graph.extended_metrics import (
     eigenvector_centrality_stats,
     transitivity_from_counts,
 )
-from repro.graph.fast import CSRGraph
+from repro.graph.fast import CSRGraph, as_union
 from repro.graph.metrics import (
     assortativity_from_sums,
     degeneracy,
@@ -75,7 +78,12 @@ from repro.graph.metrics import (
     density_from_counts,
     hvg_degeneracy,
 )
-from repro.graph.motifs import MotifCounts, MotifPrimitives, motifs_from_primitives
+from repro.graph.motifs import (
+    MotifCounts,
+    MotifPrimitives,
+    _count_block,
+    motifs_from_primitives,
+)
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -87,15 +95,18 @@ class GraphDelta:
     ``op`` is ``"add"`` (``vertex`` entered with edges to ``neighbors``),
     ``"remove"`` (``vertex`` left, destroying its edges to ``neighbors``
     — the sliding structures evict the oldest point, whose surviving
-    neighbours are exactly its right-adjacency), or ``"clear"`` (window
-    reset; ``vertex``/``neighbors`` are meaningless).  Vertex ids are
-    the sliding structures' *global* indices: they never repeat, so
-    states may key dictionaries by them without collision.
+    neighbours are exactly its right-adjacency), ``"load"`` (an empty
+    window filled in one step: ``graph`` is the whole window graph, its
+    local vertex ``i`` the global vertex ``vertex + i``), or ``"clear"``
+    (window reset; ``vertex``/``neighbors`` are meaningless).  Vertex
+    ids are the sliding structures' *global* indices: they never repeat,
+    so states may key dictionaries by them without collision.
     """
 
     op: str
     vertex: int
     neighbors: np.ndarray
+    graph: CSRGraph | None = None
 
 
 #: A ``clear`` event, shared (the payload carries no information).
@@ -107,9 +118,9 @@ class MetricState(Protocol):
 
     ``apply`` folds one :class:`GraphDelta` into internal accumulators;
     ``value`` derives the current metric.  States must accept any legal
-    event sequence (interleaved adds/removes/clears) and must keep
-    ``value()`` equal to the corresponding batch function applied to the
-    current graph.
+    event sequence (interleaved adds/removes/clears, and a load into an
+    empty window) and must keep ``value()`` equal to the corresponding
+    batch function applied to the current graph.
     """
 
     def apply(self, delta: GraphDelta) -> None: ...
@@ -142,6 +153,19 @@ def _neighbourhood_sums(
     return degrees, paired
 
 
+def _cliques_through(adj: dict[int, set[int]], common: list[int]) -> int:
+    """4-cliques through an edge whose endpoints share the ascending
+    neighbours ``common``: its adjacent pairs, enumerated exactly as the
+    batch counter does per edge."""
+    k4 = 0
+    for idx, c in enumerate(common):
+        ac = adj[c]
+        for c2 in common[idx + 1 :]:
+            if c2 in ac:
+                k4 += 1
+    return k4
+
+
 class MotifState:
     """All motif primitives of :class:`~repro.graph.motifs.MotifPrimitives`
     as running accumulators under single-edge updates.
@@ -158,15 +182,25 @@ class MotifState:
     with the edge absent (before an add, after a remove), so no per-pair
     or per-edge table is stored.  The per-vertex triangles ``tri_v`` are
     kept, and the common neighbourhood also yields the new 4-cliques by
-    direct enumeration, exactly as the batch counter does per edge.  ``value()`` hands the primitives to
+    direct enumeration, exactly as the batch counter does per edge;
+    ``horizontal`` declares the graph an HVG, which has no 4-clique (see
+    :func:`~repro.graph.metrics.hvg_degeneracy`), and skips that loop.
+    ``value()`` hands the primitives to
     :func:`~repro.graph.motifs.motifs_from_primitives`, the identical
     closed-form derivation the batch path uses, so equal primitives give
     equal counts in exact integers (and
     :func:`~repro.graph.motifs._validate`'s partition checks run on
     every call as a safety net).
+
+    A ``load`` delta fills an empty state from the batch counter's
+    primitives of the whole graph (:func:`~repro.graph.motifs._count_block`)
+    instead of one edge at a time; the running sums are the primitives
+    before their closed-form offsets, so every accumulator, the
+    adjacency sets and ``tri_v`` end equal to an edge-by-edge fill.
     """
 
     __slots__ = (
+        "_horizontal",
         "_adj",
         "_tri_v",
         "_n",
@@ -181,7 +215,8 @@ class MotifState:
         "_k4",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, *, horizontal: bool = False) -> None:
+        self._horizontal = horizontal
         self._reset()
 
     def _reset(self) -> None:
@@ -213,8 +248,32 @@ class MotifState:
             del self._adj[v]
             self._tri_v.pop(v, None)
             self._n -= 1
+        elif delta.op == "load":
+            self._load(delta.vertex, delta.graph)
         else:
             self._reset()
+
+    def _load(self, lo: int, graph: CSRGraph) -> None:
+        """Replace every accumulator by the batch primitives of ``graph``,
+        whose local vertex ``i`` is the global vertex ``lo + i``."""
+        (p,), vertex_tri = _count_block(as_union(graph), self._horizontal)
+        n = graph.n_vertices
+        indptr = graph.indptr.tolist()
+        flat = (graph.indices + lo).tolist()
+        self._adj = {lo + v: set(flat[indptr[v] : indptr[v + 1]]) for v in range(n)}
+        self._tri_v = {
+            lo + v: t for v, t in enumerate(vertex_tri.tolist()) if t
+        }
+        t, m, w = p.triangles, p.m, p.wedges_noninduced
+        self._n, self._m, self._t, self._w = n, m, t, w
+        self._deg_c3 = p.degree_choose3
+        self._k4 = p.k4
+        self._tri_pair = p.tri_pair_sum
+        # The inverses of the offsets primitives() applies.
+        d2 = 2 * w + 2 * m
+        self._paired = 2 * p.cycles_noninduced
+        self._td = p.tailed_noninduced + 6 * t
+        self._e_prod = p.paths_noninduced + d2 - m + 3 * t
 
     def _add_edge(self, u: int, w: int) -> None:
         adj = self._adj
@@ -238,20 +297,16 @@ class MotifState:
             # The new edge carries t triangles; each edge (u, c) and
             # (w, c) gains one on top of its codegree before the edge.
             tri_pair = t * (t - 1) // 2
-            k4 = 0
             clist = sorted(common)
-            for idx, c in enumerate(clist):
+            for c in clist:
                 ac = adj[c]
                 tri_pair += len(au & ac) + len(aw & ac)
                 tv[c] = tv.get(c, 0) + 1
                 self._td += len(ac)
-                # New 4-cliques {u, w, c, c2}: adjacent pairs of common
-                # neighbours, enumerated exactly as the batch counter does.
-                for c2 in clist[idx + 1 :]:
-                    if c2 in ac:
-                        k4 += 1
             self._tri_pair += tri_pair
-            self._k4 += k4
+            if not self._horizontal:
+                # New 4-cliques {u, w, c, c2}.
+                self._k4 += _cliques_through(adj, clist)
             tv[u] = tv.get(u, 0) + t
             tv[w] = tv.get(w, 0) + t
             self._td += t * (du + 1) + t * (dw + 1)
@@ -275,9 +330,8 @@ class MotifState:
         if t:
             self._t -= t
             tri_pair = t * (t - 1) // 2
-            k4 = 0
             clist = sorted(common)
-            for idx, c in enumerate(clist):
+            for c in clist:
                 ac = adj[c]
                 tri_pair += len(au & ac) + len(aw & ac)
                 nv = tv[c] - 1
@@ -286,11 +340,9 @@ class MotifState:
                 else:
                     del tv[c]
                 self._td -= len(ac)
-                for c2 in clist[idx + 1 :]:
-                    if c2 in ac:
-                        k4 += 1
             self._tri_pair -= tri_pair
-            self._k4 -= k4
+            if not self._horizontal:
+                self._k4 -= _cliques_through(adj, clist)
             for v in (u, w):
                 nv = tv[v] - t
                 if nv:
@@ -384,7 +436,7 @@ class KCoreState:
       is peel-tested only after a push created ``>= k + 1`` edges.
 
     A tick needing no peel does not even render the CSR.  The first
-    value (and the first after a clear) is the batch
+    value (and the first after a clear or a load) is the batch
     :func:`~repro.graph.metrics.degeneracy`.
     """
 
@@ -408,7 +460,7 @@ class KCoreState:
             self._grown = max(self._grown, delta.neighbors.size)
         elif delta.op == "remove":
             self._evicted += 1
-        else:
+        else:  # clear, or load into an empty window: peel afresh
             self._reset()
 
     def value(self) -> int:
@@ -460,7 +512,7 @@ class IncrementalMetricBank:
 
     def __init__(self, svg, *, phase_clock=None) -> None:
         self._svg = svg
-        self.motif_state = MotifState()
+        self.motif_state = MotifState(horizontal=svg.kind == "hvg")
         self._states: list[MetricState] = [self.motif_state]
         self._kcore: KCoreState | None = None
         if svg.kind != "hvg":

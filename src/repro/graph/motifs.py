@@ -524,17 +524,22 @@ def count_motifs(
     limit = min(_UNION_WEDGES, _MAX_VECTOR_WEDGES)
     counts: list[MotifCounts] = []
     for first, stop in _wedge_blocks(member_wedges.tolist(), limit):
-        counts += _count_block(union.select(first, stop), horizontal)
+        primitives, _ = _count_block(union.select(first, stop), horizontal)
+        counts += map(motifs_from_primitives, primitives)
     return counts if isinstance(graph, CSRUnion) else counts[0]
 
 
-def _count_block(union: CSRUnion, horizontal: bool) -> list[MotifCounts]:
-    """Motif counts of every member of ``union`` from one substrate pass.
+def _count_block(
+    union: CSRUnion, horizontal: bool
+) -> tuple[list[MotifPrimitives], np.ndarray]:
+    """Motif primitives of every member of ``union`` from one substrate
+    pass, plus the triangles through each vertex of the union.
 
     Every primitive is a sum over vertices or edges, and a member's
     vertices and (row-ordered) edges are contiguous, so the per-member
-    primitives are exact ``int64`` segment sums, fed member by member
-    to :func:`motifs_from_primitives`.
+    primitives are exact ``int64`` segment sums.  :func:`count_motifs`
+    feeds them to :func:`motifs_from_primitives`; the streaming motif
+    accumulator loads a whole window graph from them.
     """
     bounds = union.bounds
     degrees = union.degrees()
@@ -569,27 +574,25 @@ def _count_block(union: CSRUnion, horizontal: bool) -> list[MotifCounts]:
         ),
         edge_bounds,
     ).tolist()
-    counts = []
+    primitives = []
     for j, (n, m) in enumerate(zip(np.diff(bounds).tolist(), np.diff(edge_bounds).tolist())):
         assert paired[j] % 2 == 0, "each 4-cycle has exactly two diagonals"
-        counts.append(
-            motifs_from_primitives(
-                MotifPrimitives(
-                    n=n,
-                    m=m,
-                    triangles=tri_sum[j] // 3,
-                    wedges_noninduced=wedges[j],
-                    degree_choose3=choose3[j],
-                    k4=k4[j],
-                    cycles_noninduced=paired[j] // 2,
-                    tri_pair_sum=tri_pairs[j],
-                    tailed_noninduced=tailed[j],
-                    paths_noninduced=paths[j],
-                    m33=n * m - endpoint_sum[j],
-                )
+        primitives.append(
+            MotifPrimitives(
+                n=n,
+                m=m,
+                triangles=tri_sum[j] // 3,
+                wedges_noninduced=wedges[j],
+                degree_choose3=choose3[j],
+                k4=k4[j],
+                cycles_noninduced=paired[j] // 2,
+                tri_pair_sum=tri_pairs[j],
+                tailed_noninduced=tailed[j],
+                paths_noninduced=paths[j],
+                m33=n * m - endpoint_sum[j],
             )
         )
-    return counts
+    return primitives, vertex_tri
 
 
 def _validate(counts: MotifCounts, n: int) -> None:

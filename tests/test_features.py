@@ -67,6 +67,13 @@ class TestExtractFeatureVector:
         with pytest.raises(ValueError):
             extract_feature_vector(np.ones(16), config)
 
+    @pytest.mark.parametrize("scales", ["uvg", "mvg", "amvg"])
+    def test_empty_series_raises(self, scales):
+        # An empty series used to extract as a row of zeros under uvg and
+        # mvg, a vector that looks real.
+        with pytest.raises(ValueError, match="empty series"):
+            extract_feature_vector(np.array([]), FeatureConfig(scales=scales))
+
     def test_names_follow_figure10_convention(self, series):
         _, names = extract_feature_vector(series, FeatureConfig())
         assert "T0 HVG P(M44)" in names

@@ -19,7 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.extended_metrics import extended_graph_statistics
-from repro.graph.incremental import SlidingVisibilityGraph
+from repro.graph.fast import (
+    fast_horizontal_visibility_graph_csr,
+    fast_visibility_graph_csr,
+)
+from repro.graph.incremental import SlidingGraphWindow, SlidingVisibilityGraph
 from repro.graph.incremental_metrics import (
     GraphDelta,
     IncrementalMetricBank,
@@ -214,6 +218,27 @@ class TestDeltaStream:
         assert seen[0].neighbors.size == 0  # first point creates no edges
         assert seen[4].vertex == 0  # the eviction drops the oldest point
 
+    def test_load_emits_one_load_carrying_the_graph(self):
+        sliding = SlidingVisibilityGraph("hvg", window=4)
+        seen: list[GraphDelta] = []
+        sliding.subscribe(seen.append)
+        sliding.push(5.0)
+        sliding.clear()
+        values = np.array([1.0, 3.0, 2.0, 4.0])
+        graph = fast_horizontal_visibility_graph_csr(values)
+        sliding.load(values, graph)
+        sliding.push(0.5)
+        ops = [d.op for d in seen]
+        assert ops == ["add", "clear", "load", "remove", "add"]
+        load = seen[2]
+        # Global ids keep counting after the clear: the loaded window
+        # starts at vertex 1, and the first eviction drops it.
+        assert load.vertex == 1 and load.graph is graph
+        assert load.neighbors.size == 0
+        assert seen[3].vertex == 1
+        assert seen[3].neighbors.tolist() == [2]
+        assert seen[4].vertex == 5
+
     def test_motif_state_survives_out_of_order_edge_removal(self):
         """Remove deltas drain the adjacency and triangle tables and every
         running sum cleanly whatever the neighbour order (a K4 torn down
@@ -235,6 +260,122 @@ class TestDeltaStream:
         assert primitives.pop("n") == 0
         assert set(primitives.values()) == {0}
         assert state.value().m21 == 0
+
+
+random_walks = st.lists(
+    st.floats(min_value=-3, max_value=3, allow_nan=False), min_size=1, max_size=60
+).map(lambda xs: np.cumsum(xs))
+
+tiny_series = st.lists(
+    st.floats(min_value=-5, max_value=5, allow_nan=False), min_size=0, max_size=3
+).map(lambda xs: np.asarray(xs, dtype=np.float64))
+
+load_series = st.one_of(all_series, random_walks, tiny_series)
+
+
+def _filled(kinds, window, values, *, load, offset, evict):
+    """A sliding window with one metric bank per kind, filled with
+    ``values`` by one load or by pushes, after ``offset`` pushed points
+    (their metrics read once) were evicted one by one or cleared."""
+    sliding = SlidingGraphWindow(kinds, window=window)
+    banks = {kind: make_bank(svg) for kind, svg in sliding.graphs.items()}
+    for x in range(offset):
+        sliding.push(float(x % 3))
+    for bank in banks.values():
+        bank.statistics()
+    if evict:
+        while len(sliding):
+            sliding.evict()
+    elif offset:
+        sliding.clear()
+    if load:
+        sliding.load(values)
+    else:
+        for x in values:
+            sliding.push(x)
+    return sliding, banks
+
+
+class TestLoadEqualsReplay:
+    """Loading an empty window from one batch build leaves exactly the
+    state pushing its points would, and every later event agrees."""
+
+    @given(
+        load_series,
+        st.integers(0, 5),
+        st.integers(0, 6),
+        st.booleans(),
+        st.lists(st.tuples(st.integers(0, 5), st.floats(-10, 10)), max_size=40),
+    )
+    @settings(max_examples=80, deadline=None)
+    @pytest.mark.parametrize("kinds", [("vg", "hvg"), ("hvg",)])
+    def test_load_then_any_events(self, kinds, values, slack, offset, evict, ops):
+        window = max(values.size + slack, 1)
+        fill = dict(offset=offset, evict=evict)
+        replayed, replay_banks = _filled(kinds, window, values, load=False, **fill)
+        loaded, load_banks = _filled(kinds, window, values, load=True, **fill)
+        for kind in kinds:
+            a, b = replayed.graphs[kind], loaded.graphs[kind]
+            assert a.csr() == b.csr()
+            assert np.array_equal(a.degree_array(), b.degree_array())
+            assert list(a._stack) == list(b._stack)
+            assert a._rmax == b._rmax
+            ma, mb = replay_banks[kind].motif_state, load_banks[kind].motif_state
+            assert ma.primitives() == mb.primitives()
+            assert ma._adj == mb._adj
+            assert ma._tri_v == mb._tri_v
+            assert replay_banks[kind].statistics() == load_banks[kind].statistics()
+        # The same events afterwards (op 0 evicts, 1 clears, 2-5 push,
+        # 5 then reads the metrics) emit the same deltas and keep every
+        # metric equal.
+        streams: list[list[GraphDelta]] = [[], []]
+        for sliding, seen in zip((replayed, loaded), streams):
+            for svg in sliding.graphs.values():
+                svg.subscribe(seen.append)
+        for op, x in ops:
+            for sliding in (replayed, loaded):
+                if op == 0 and len(sliding):
+                    sliding.evict()
+                elif op == 1:
+                    sliding.clear()
+                elif op > 1:
+                    sliding.push(x)
+            if op == 5:
+                for kind in kinds:
+                    assert replay_banks[kind].statistics() == load_banks[kind].statistics()
+        assert [(d.op, d.vertex, d.neighbors.tolist()) for d in streams[0]] == [
+            (d.op, d.vertex, d.neighbors.tolist()) for d in streams[1]
+        ]
+        for kind in kinds:
+            assert replay_banks[kind].statistics() == load_banks[kind].statistics()
+            assert replay_banks[kind].motifs() == load_banks[kind].motifs()
+            assert replayed.csr(kind) == loaded.csr(kind)
+
+    def test_load_needs_an_empty_window_that_fits(self):
+        sliding = SlidingGraphWindow(("vg", "hvg"), window=4)
+        with pytest.raises(ValueError, match="window of 4"):
+            sliding.load(np.arange(5.0))
+        sliding.push(1.0)
+        with pytest.raises(ValueError, match="empty window"):
+            sliding.load(np.arange(3.0))
+        sliding.clear()
+        sliding.load(np.arange(4.0))
+        assert len(sliding) == 4
+        with pytest.raises(ValueError, match="empty window"):
+            sliding.load(np.arange(2.0))
+
+    def test_unbounded_window_grows_to_fit_a_load(self):
+        values = np.cumsum(np.random.default_rng(2).standard_normal(200))
+        loaded = SlidingVisibilityGraph("vg")
+        loaded.load(values, fast_visibility_graph_csr(values))
+        replayed = SlidingVisibilityGraph("vg")
+        for x in values:
+            replayed.push(x)
+        for x in values[:50]:
+            loaded.push(x)
+            replayed.push(x)
+        assert loaded.csr() == replayed.csr()
+        assert np.array_equal(loaded.values(), replayed.values())
 
 
 def _edge_set(n: int, pairs) -> tuple[int, frozenset]:

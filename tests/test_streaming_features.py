@@ -16,10 +16,12 @@ from hypothesis import strategies as st
 from repro.core.config import FeatureConfig, HEURISTIC_COLUMNS
 from repro.core.features import extract_feature_vector
 from repro.core.streaming import (
+    _LOAD_MIN_POINTS,
     StreamingFeatureExtractor,
     feature_layout_width,
     scale_plan,
 )
+from repro.graph.incremental import SlidingGraphWindow
 
 
 def _assert_stream_matches_batch(stream, window, config, stride=1):
@@ -38,6 +40,19 @@ def _assert_stream_matches_batch(stream, window, config, stride=1):
         ticks += 1
     assert ticks > 0
     return extractor
+
+
+def _count_loads(monkeypatch) -> list[int]:
+    """Record the length of every :meth:`SlidingGraphWindow.load`."""
+    loads: list[int] = []
+    original = SlidingGraphWindow.load
+
+    def load(self, values):
+        loads.append(len(values))
+        original(self, values)
+
+    monkeypatch.setattr(SlidingGraphWindow, "load", load)
+    return loads
 
 
 class TestBitIdentity:
@@ -74,6 +89,28 @@ class TestBitIdentity:
         extractor = _assert_stream_matches_batch(stream, 256, HEURISTIC_COLUMNS["G"])
         assert sum(len(state.slots) for state in extractor._scales) == 31
         assert extractor.full_builds_ == 0
+
+    @pytest.mark.parametrize("window", [48, 96])
+    def test_slots_on_both_sides_of_the_load_crossover(self, window, monkeypatch):
+        # 48 -> slots of 48 and 24 points, 96 -> 96, 48 and 24: the long
+        # slots fill by one batch load, the 24-point ones by pushes.
+        loads = _count_loads(monkeypatch)
+        rng = np.random.default_rng(window)
+        stream = np.round(np.cumsum(rng.normal(size=window + 40)), 1)
+        extractor = _assert_stream_matches_batch(stream, window, HEURISTIC_COLUMNS["G"])
+        scales = extractor._scales
+        long_slots = [s.length for s in scales if s.length >= _LOAD_MIN_POINTS for _ in s.slots]
+        assert sorted(loads) == sorted(long_slots)
+        assert any(s.length < _LOAD_MIN_POINTS for s in scales)
+
+    def test_slot_a_window_behind_reloads(self, monkeypatch):
+        # A stride longer than the window leaves every slot a whole window
+        # behind at its next use: it is reset and loaded again.
+        loads = _count_loads(monkeypatch)
+        rng = np.random.default_rng(6)
+        stream = np.round(rng.normal(size=64 + 4 * 70), 1)
+        _assert_stream_matches_batch(stream, 64, HEURISTIC_COLUMNS["G"], stride=70)
+        assert loads.count(64) == 5 and loads.count(32) == 5
 
     def test_extended_features(self):
         rng = np.random.default_rng(3)
